@@ -2,7 +2,7 @@
 
 Each check walks a phi grid (or a seeded random sample), records the
 worst observed deviation from the property it tests, and passes when that
-deviation stays under its tolerance.  Closed-form identities get the
+deviation is finite and under its tolerance.  Closed-form identities get the
 caller's base tolerance; the grid-search oracle gets a 100x looser one
 since its accuracy is set by refinement depth, not roundoff.
 """
@@ -18,6 +18,7 @@ from . import cloner, ensemble, linalg, optimizer
 
 _HALF_PI = math.pi / 2
 _SEED = 20260808
+_BLOCK = 1024  # angles per kernel call in the grid sweep
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,8 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.tolerance
+        # Fails closed: a NaN or infinite deviation is a failure.
+        return math.isfinite(self.deviation) and self.deviation <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -39,24 +41,75 @@ class CheckResult:
         )
 
 
-def _track(worst, deviation: float, where: str):
-    if deviation > worst[0]:
-        worst[0] = deviation
-        worst[1] = where
-    return worst
+def _per_sample(deviations) -> np.ndarray:
+    """Largest deviation of each sample along the leading axis.  ``np.max``,
+    not ``nanmax``: a NaN anywhere stays the sample's deviation."""
+    deviations = np.asarray(deviations, dtype=float)
+    return np.max(deviations.reshape(len(deviations), -1), axis=1)
 
 
-def _simulate_four(phi: float, coeffs):
-    ens = ensemble.make_ensemble(phi)
-    isometry = cloner.build_isometry(coeffs)
-    fids, copies = [], []
-    for label in (1, 2, 3, 4):
-        psi = ens.state(label)
-        rho_out = cloner.apply_cloner(isometry, psi)
-        reduced = cloner.copy_state(rho_out, 1)
-        fids.append(cloner.fidelity(psi, reduced))
-        copies.append((rho_out, reduced))
-    return ens, isometry, fids, copies
+def _worst(name: str, deviations, tolerance: float, where) -> CheckResult:
+    """Largest deviation over all samples; ``where(i)`` names sample ``i``.
+    A NaN anywhere becomes the reported deviation, so the check fails."""
+    per_sample = _per_sample(deviations)
+    index = int(np.argmax(per_sample))  # first maximum, or first NaN
+    worst = float(per_sample[index])
+    if not (worst > 0.0 or math.isnan(worst)):
+        return CheckResult(name, 0.0, tolerance, "-")
+    return CheckResult(name, worst, tolerance, where(index))
+
+
+def _at_phi(phis):
+    return lambda index: f"phi={phis[index]:.6g}"
+
+
+def _grid_deviations(phis) -> dict:
+    """Deviation of every grid property at each angle of ``phis``, one
+    array of shape (N,) per property, in report order."""
+    # --- ensemble geometry ----------------------------------------------
+    states, bloch = ensemble.family(phis)  # (N, 4, 2), (N, 4, 3)
+    s, c = np.sin(phis), np.cos(phis)
+    expected = np.stack([[s, c], [-s, c], [-s, -c], [s, -c]]).transpose(2, 0, 1)
+    projectors = states[..., :, None] * states[..., None, :].conj()
+    flipped = states[..., ::-1]  # sigma_x |psi>
+    partners = states[:, ::-1]  # state 5 - label
+    pattern = np.abs(bloch[..., ::2] - expected)
+    recomputed = np.abs(linalg.bloch_vectors(projectors) - bloch)
+    deviations = {
+        "ensemble unit norms": np.abs(np.linalg.norm(states, axis=-1) - 1.0),
+        "ensemble pair orthogonality": np.abs(np.sum(states[:, :2].conj() * states[:, 2:], axis=-1)),
+        "ensemble y components vanish": np.abs(bloch[..., 1]),
+        "ensemble Bloch pattern": np.concatenate([pattern, recomputed], axis=-1),
+        "ensemble relabel symmetry": np.abs(1.0 - np.abs(np.sum(flipped.conj() * partners, axis=-1))),
+    }
+
+    # --- optimum: constraint, isometry, fidelities, shrinking ------------
+    coeffs = [optimizer.optimal_coefficients(phi) for phi in phis]
+    isometries = cloner.isometry_batch([cc.as_tuple() for cc in coeffs])
+    fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
+    gram = isometries.conj().transpose(0, 2, 1) @ isometries
+    f_opt = np.array([optimizer.optimal_fidelity(phi) for phi in phis])
+    f_closed = np.array([cloner.fidelity_closed_form(cc, phi) for cc, phi in zip(coeffs, phis)])
+    eta = np.array([optimizer.optimal_shrinking(phi) for phi in phis])
+    mirrored = np.array([optimizer.optimal_shrinking(_HALF_PI - phi)[1] for phi in phis])
+    formula = np.array([cloner.shrinking_factors(cc) for cc in coeffs])
+    residuals = np.array([
+        optimizer.lagrange_residual(cc, optimizer.recover_multiplier(cc, phi), phi)
+        for cc, phi in zip(coeffs, phis)
+    ])
+    deviations.update({
+        "optimal coefficient constraint": np.array([abs(cc.constraint_defect) for cc in coeffs]),
+        "isometry columns orthonormal": np.abs(gram - np.eye(2)),
+        "four fidelities equal": np.max(fids, axis=1) - np.min(fids, axis=1),
+        "simulation matches optimal fidelity": np.abs(fids - f_opt[:, None]),
+        "optimal fidelity consistency chain": np.abs(f_opt - f_closed),
+        "shrinking factor identities": np.column_stack(
+            [np.abs(np.sum(eta * eta, axis=1) - 1.0), np.abs(eta - formula)]
+        ),
+        "shrinking reflection symmetry": np.abs(eta[:, 0] - mirrored),
+        "stationarity residuals": np.abs(residuals),
+    })
+    return {name: _per_sample(d) for name, d in deviations.items()}
 
 
 def run_checks(
@@ -68,155 +121,92 @@ def run_checks(
     """Run every library invariant and return one result per property."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    if oracle_points < 1:
+        raise ValueError("oracle_points must be at least 1")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError("tolerance must be positive and finite")
     oracle_tolerance = tolerance * 100.0
 
     phis = np.linspace(0.0, _HALF_PI, grid)
     rng = np.random.default_rng(_SEED)
     results: list[CheckResult] = []
 
-    # --- ensemble geometry ----------------------------------------------
-    w_norm = [0.0, "-"]
-    w_orth = [0.0, "-"]
-    w_ypat = [0.0, "-"]
-    w_bloch = [0.0, "-"]
-    w_relabel = [0.0, "-"]
-    sigma_x = linalg.SIGMA_X
-    for phi in phis:
-        ens = ensemble.make_ensemble(phi)
-        where = f"phi={phi:.6g}"
-        s, c = math.sin(phi), math.cos(phi)
-        expected = [(s, c), (-s, c), (-s, -c), (s, -c)]
-        for label in (1, 2, 3, 4):
-            psi = ens.state(label)
-            _track(w_norm, abs(float(np.linalg.norm(psi)) - 1.0), where)
-            m = ens.bloch_vector(label)
-            _track(w_ypat, abs(float(m[1])), where)
-            ex, ez = expected[label - 1]
-            _track(w_bloch, max(abs(m[0] - ex), abs(m[2] - ez)), where)
-            flipped = sigma_x @ psi
-            partner = ens.state(5 - label)
-            _track(w_relabel, abs(1.0 - abs(complex(np.vdot(flipped, partner)))), where)
-        for i, j in ensemble.pair_structure(ens).pairs:
-            _track(w_orth, abs(complex(np.vdot(ens.state(i), ens.state(j)))), where)
-        _track(w_bloch, ensemble.ensemble_bloch_consistency(ens), where)
-    results.append(CheckResult("ensemble unit norms", w_norm[0], tolerance, w_norm[1]))
-    results.append(CheckResult("ensemble pair orthogonality", w_orth[0], tolerance, w_orth[1]))
-    results.append(CheckResult("ensemble y components vanish", w_ypat[0], tolerance, w_ypat[1]))
-    results.append(CheckResult("ensemble Bloch pattern", w_bloch[0], tolerance, w_bloch[1]))
-    results.append(CheckResult("ensemble relabel symmetry", w_relabel[0], tolerance, w_relabel[1]))
-
-    # --- optimum: constraint, isometry, fidelities, shrinking ------------
-    w_constraint = [0.0, "-"]
-    w_iso = [0.0, "-"]
-    w_equal = [0.0, "-"]
-    w_sim = [0.0, "-"]
-    w_chain = [0.0, "-"]
-    w_eta_norm = [0.0, "-"]
-    w_eta_refl = [0.0, "-"]
-    w_station = [0.0, "-"]
-    eye2 = np.eye(2)
-    for phi in phis:
-        where = f"phi={phi:.6g}"
-        coeffs = optimizer.optimal_coefficients(phi)
-        _track(w_constraint, abs(coeffs.constraint_defect), where)
-        ens, isometry, fids, _ = _simulate_four(phi, coeffs)
-        gram = linalg.dagger(isometry) @ isometry
-        _track(w_iso, float(np.abs(gram - eye2).max()), where)
-        _track(w_equal, max(fids) - min(fids), where)
-        f_opt = optimizer.optimal_fidelity(phi)
-        f_closed = cloner.fidelity_closed_form(coeffs, phi)
-        _track(w_sim, max(abs(f - f_opt) for f in fids), where)
-        _track(w_chain, abs(f_opt - f_closed), where)
-        eta_x, eta_z = optimizer.optimal_shrinking(phi)
-        _track(w_eta_norm, abs(eta_x * eta_x + eta_z * eta_z - 1.0), where)
-        mirrored = optimizer.optimal_shrinking(_HALF_PI - phi)[1]
-        _track(w_eta_refl, abs(eta_x - mirrored), where)
-        formula = cloner.shrinking_factors(coeffs)
-        _track(w_eta_norm, max(abs(eta_x - formula[0]), abs(eta_z - formula[1])), where)
-        lam = optimizer.recover_multiplier(coeffs, phi)
-        residuals = optimizer.lagrange_residual(coeffs, lam, phi)
-        _track(w_station, max(abs(r) for r in residuals), where)
-    results.append(CheckResult("optimal coefficient constraint", w_constraint[0], tolerance, w_constraint[1]))
-    results.append(CheckResult("isometry columns orthonormal", w_iso[0], tolerance, w_iso[1]))
-    results.append(CheckResult("four fidelities equal", w_equal[0], tolerance, w_equal[1]))
-    results.append(CheckResult("simulation matches optimal fidelity", w_sim[0], tolerance, w_sim[1]))
-    results.append(CheckResult("optimal fidelity consistency chain", w_chain[0], tolerance, w_chain[1]))
-    results.append(CheckResult("shrinking factor identities", w_eta_norm[0], tolerance, w_eta_norm[1]))
-    results.append(CheckResult("shrinking reflection symmetry", w_eta_refl[0], tolerance, w_eta_refl[1]))
-    results.append(CheckResult("stationarity residuals", w_station[0], tolerance, w_station[1]))
+    # Blocks of angles bound the kernel's working memory for any grid size.
+    blocks = [_grid_deviations(block) for block in np.array_split(phis, -(-grid // _BLOCK))]
+    at_grid = _at_phi(phis)
+    for name in blocks[0]:
+        per_angle = np.concatenate([block[name] for block in blocks])
+        results.append(_worst(name, per_angle, tolerance, at_grid))
 
     # --- copy symmetry and channel geometry on random states -------------
-    w_copies = [0.0, "-"]
-    w_channel = [0.0, "-"]
     channel_phis = np.linspace(0.0, _HALF_PI, 25)
-    for phi in channel_phis:
-        where = f"phi={phi:.6g}"
-        coeffs = optimizer.optimal_coefficients(phi)
-        isometry = cloner.build_isometry(coeffs)
-        eta_x, eta_z = cloner.shrinking_factors(coeffs)
-        for theta in rng.uniform(0.0, 2 * math.pi, size=4):
-            psi = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
-            rho_out = cloner.apply_cloner(isometry, psi)
-            first = cloner.copy_state(rho_out, 1)
-            second = cloner.copy_state(rho_out, 2)
-            _track(w_copies, float(np.abs(first - second).max()), where)
-            m_out = linalg.bloch_from_density(first)
-            expected = np.array([eta_x * math.sin(theta), 0.0, eta_z * math.cos(theta)])
-            _track(w_channel, float(np.abs(m_out - expected).max()), where)
-    results.append(CheckResult("copy 1 equals copy 2", w_copies[0], tolerance, w_copies[1]))
-    results.append(CheckResult("channel Bloch contraction map", w_channel[0], tolerance, w_channel[1]))
+    channel_coeffs = [optimizer.optimal_coefficients(phi) for phi in channel_phis]
+    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 4))
+    kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
+    copies = cloner.clone_batch(
+        cloner.isometry_batch([cc.as_tuple() for cc in channel_coeffs]), kets
+    )
+    eta_x, eta_z = np.array([cloner.shrinking_factors(cc) for cc in channel_coeffs]).T
+    m_expected = np.stack(
+        [eta_x[:, None] * np.sin(thetas), np.zeros_like(thetas), eta_z[:, None] * np.cos(thetas)],
+        axis=-1,
+    )
+    at_channel = _at_phi(channel_phis)
+    results.append(_worst("copy 1 equals copy 2", np.abs(copies.copy1 - copies.copy2), tolerance, at_channel))
+    m_out = linalg.bloch_vectors(copies.copy1)
+    results.append(_worst("channel Bloch contraction map", np.abs(m_out - m_expected), tolerance, at_channel))
 
     # --- general fidelity formula over random feasible coefficients ------
-    w_general = [0.0, "-"]
-    w_monotone = [0.0, "-"]
+    general, monotone, general_phis = [], [], []
     maximal = cloner.OverlapSet.maximal()
     for _ in range(200):
         t, u = rng.uniform(0.0, _HALF_PI, size=2)
-        coeffs = cloner.ClonerCoefficients(
+        cc = cloner.ClonerCoefficients(
             a=math.sin(t) * math.cos(u),
             b=math.cos(t) / math.sqrt(2),
             c=math.sin(t) * math.sin(u),
         )
         phi = float(rng.uniform(0.0, _HALF_PI))
-        where = f"phi={phi:.6g}"
-        at_max = cloner.fidelity_general(coeffs, phi, maximal)
-        _track(w_general, abs(at_max - cloner.fidelity_closed_form(coeffs, phi)), where)
+        general_phis.append(phi)
+        at_max = cloner.fidelity_general(cc, phi, maximal)
+        general.append(abs(at_max - cloner.fidelity_closed_form(cc, phi)))
         sub = cloner.OverlapSet(*rng.uniform(-2.0, 2.0, size=2))
-        _track(w_monotone, max(0.0, cloner.fidelity_general(coeffs, phi, sub) - at_max), where)
-    results.append(CheckResult("general formula at maximal overlaps", w_general[0], tolerance, w_general[1]))
-    results.append(CheckResult("overlaps below maximum never help", w_monotone[0], tolerance, w_monotone[1]))
+        monotone.append(max(0.0, cloner.fidelity_general(cc, phi, sub) - at_max))
+    at_general = _at_phi(general_phis)
+    results.append(_worst("general formula at maximal overlaps", general, tolerance, at_general))
+    results.append(_worst("overlaps below maximum never help", monotone, tolerance, at_general))
 
     # --- linear algebra round trips ---------------------------------------
-    w_pt = [0.0, "-"]
-    w_roundtrip = [0.0, "-"]
-    for index in range(50):
-        where = f"sample {index}"
+    partial, roundtrip = [], []
+    for _ in range(50):
         m = rng.uniform(-1.0, 1.0, size=3)
         norm = float(np.linalg.norm(m))
         if norm > 1.0:
             m = m / (norm * (1.0 + rng.uniform(0.0, 1.0)))
         rho_a = linalg.density_from_bloch(m)
-        _track(w_roundtrip, float(np.abs(linalg.bloch_from_density(rho_a) - m).max()), where)
+        roundtrip.append(np.abs(linalg.bloch_from_density(rho_a) - m))
         rho_b = linalg.density_from_bloch(rng.uniform(-0.5, 0.5, size=3))
         joint = linalg.tensor(rho_a, rho_b)
-        _track(w_pt, float(np.abs(linalg.partial_trace(joint, [2, 2], 0) - rho_a).max()), where)
-        _track(w_pt, float(np.abs(linalg.partial_trace(joint, [2, 2], 1) - rho_b).max()), where)
-    results.append(CheckResult("partial trace of product states", w_pt[0], tolerance, w_pt[1]))
-    results.append(CheckResult("Bloch round trip", w_roundtrip[0], tolerance, w_roundtrip[1]))
+        partial.append([
+            np.abs(linalg.partial_trace(joint, [2, 2], 0) - rho_a),
+            np.abs(linalg.partial_trace(joint, [2, 2], 1) - rho_b),
+        ])
+    at_sample = "sample {}".format
+    results.append(_worst("partial trace of product states", partial, tolerance, at_sample))
+    results.append(_worst("Bloch round trip", roundtrip, tolerance, at_sample))
 
     # --- perfect-cloning endpoints ----------------------------------------
-    w_end = [0.0, "-"]
-    for phi in (0.0, _HALF_PI):
-        _track(w_end, abs(optimizer.optimal_fidelity(phi) - 1.0), f"phi={phi:.6g}")
-    ens, _, fids, copies = _simulate_four(0.0, optimizer.optimal_coefficients(0.0))
-    for label in (1, 2, 3, 4):
-        psi = ens.state(label)
-        target = np.outer(psi, psi.conj())
-        _track(w_end, float(np.abs(copies[label - 1][1] - target).max()), "phi=0")
-        _track(w_end, abs(fids[label - 1] - 1.0), "phi=0")
-    results.append(CheckResult("perfect cloning at the endpoints", w_end[0], tolerance, w_end[1]))
+    ends = (0.0, _HALF_PI)
+    perfect = [abs(optimizer.optimal_fidelity(phi) - 1.0) for phi in ends]
+    states, _ = ensemble.family([0.0])
+    at_zero = cloner.clone_batch(
+        cloner.isometry_batch([optimizer.optimal_coefficients(0.0).as_tuple()]), states
+    )
+    projectors = states[..., :, None] * states[..., None, :].conj()
+    perfect.append(np.max(np.abs(at_zero.copy1 - projectors)))
+    perfect.append(np.max(np.abs(at_zero.fidelities - 1.0)))
+    where = [f"phi={phi:.6g}" for phi in ends] + ["phi=0", "phi=0"]
+    results.append(_worst("perfect cloning at the endpoints", perfect, tolerance, where.__getitem__))
 
     # --- worst case sits at the centre of the range ------------------------
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
@@ -233,20 +223,18 @@ def run_checks(
     )
 
     # --- independent grid-search oracle ------------------------------------
-    w_oracle_f = [0.0, "-"]
-    w_oracle_c = [0.0, "-"]
-    for phi in np.linspace(0.0, _HALF_PI, oracle_points):
-        where = f"phi={phi:.6g}"
+    oracle_phis = np.linspace(0.0, _HALF_PI, oracle_points)
+    oracle_f, oracle_c = [], []
+    for phi in oracle_phis:
         search = optimizer.numeric_optimize(phi, grid_density=oracle_grid)
-        _track(w_oracle_f, abs(search.best_fidelity - optimizer.optimal_fidelity(phi)), where)
+        oracle_f.append(abs(search.best_fidelity - optimizer.optimal_fidelity(phi)))
         closed = optimizer.optimal_coefficients(phi)
         found = search.best_coeffs
-        _track(
-            w_oracle_c,
-            max(abs(found.a - closed.a), abs(found.b - closed.b), abs(found.c - closed.c)),
-            where,
+        oracle_c.append(
+            max(abs(found.a - closed.a), abs(found.b - closed.b), abs(found.c - closed.c))
         )
-    results.append(CheckResult("oracle fidelity agreement", w_oracle_f[0], oracle_tolerance, w_oracle_f[1]))
-    results.append(CheckResult("oracle coefficient agreement", w_oracle_c[0], max(1e-4, oracle_tolerance), w_oracle_c[1]))
+    at_oracle = _at_phi(oracle_phis)
+    results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_oracle))
+    results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_oracle))
 
     return results

@@ -17,7 +17,13 @@ import numpy as np
 from .checks import run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
-from .optimizer import numeric_optimize, optimal_coefficients, optimal_fidelity, optimal_shrinking
+from .optimizer import (
+    MIN_GRID_DENSITY,
+    numeric_optimize,
+    optimal_coefficients,
+    optimal_fidelity,
+    optimal_shrinking,
+)
 from .report import build_clone_report, format_clone_report
 
 _PI_LITERAL = re.compile(
@@ -59,6 +65,26 @@ def _coeffs_argument(text: str) -> tuple[float, float, float]:
     return a, b, c
 
 
+def _tolerance_argument(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
+def _oracle_grid_argument(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if value < MIN_GRID_DENSITY:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_GRID_DENSITY}, got {value}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -80,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a grid-search fidelity column as an independent check",
     )
-    sweep.add_argument("--oracle-grid", type=int, default=256)
+    sweep.add_argument("--oracle-grid", type=_oracle_grid_argument, default=256)
 
     clone = sub.add_parser("clone", help="inspect one angle in detail")
     clone.add_argument("phi", type=_angle_argument)
@@ -96,11 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--steps", type=int, default=1000, help="phi grid size")
     verify.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance_argument,
         default=1e-10,
         help="bound for closed-form identities; the oracle gets 100x this",
     )
-    verify.add_argument("--oracle-grid", type=int, default=256)
+    verify.add_argument("--oracle-grid", type=_oracle_grid_argument, default=256)
 
     return parser
 
@@ -171,8 +197,6 @@ def _cmd_clone(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
-    if not args.tolerance > 0:
-        parser.error("--tolerance must be positive")
     results = run_checks(
         grid=args.steps,
         tolerance=args.tolerance,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .linalg import (
     as_matrix,
     dagger,
     partial_trace,
-    tensor,
 )
 
 
@@ -151,10 +151,6 @@ class OverlapSet:
         return cls(re_ab=re_ab, re_bc=re_bc)
 
 
-def _kron3(u, v, w) -> np.ndarray:
-    return tensor(tensor(u, v), w)
-
-
 def build_isometry(
     coeffs: ClonerCoefficients, ancilla: AncillaAssignment | None = None
 ) -> np.ndarray:
@@ -166,20 +162,9 @@ def build_isometry(
     happen for non-default ancilla assignments, raises
     :class:`UnitarityError`.
     """
-    if ancilla is None:
-        ancilla = AncillaAssignment.default()
-    a, b, c = coeffs.as_tuple()
-    col0 = (
-        a * _kron3(KET_0, KET_0, ancilla.anc_a0)
-        + b * (_kron3(KET_0, KET_1, ancilla.anc_b0) + _kron3(KET_1, KET_0, ancilla.anc_b0))
-        + c * _kron3(KET_1, KET_1, ancilla.anc_c0)
+    isometry = np.ascontiguousarray(
+        isometry_batch(np.array([coeffs.as_tuple()]), ancilla)[0]
     )
-    col1 = (
-        a * _kron3(KET_1, KET_1, ancilla.anc_a1)
-        + b * (_kron3(KET_1, KET_0, ancilla.anc_b1) + _kron3(KET_0, KET_1, ancilla.anc_b1))
-        + c * _kron3(KET_0, KET_0, ancilla.anc_c1)
-    )
-    isometry = np.stack([col0, col1], axis=1)
     gram_defect = float(np.abs(dagger(isometry) @ isometry - np.eye(2)).max())
     if gram_defect > ATOL_INPUT:
         raise UnitarityError(
@@ -234,7 +219,7 @@ def fidelity(psi, rho) -> float:
         raise ValueError(f"rho must be 2x2, got shape {rho.shape}")
     if abs(complex(np.trace(rho)) - 1.0) > ATOL_INPUT:
         raise ValueError("rho trace deviates from 1")
-    value = complex(np.vdot(psi, rho @ psi))
+    value = complex(expectation(psi, rho))
     if abs(value.imag) > ATOL_INPUT:
         raise ValueError(f"fidelity has imaginary residue {value.imag:.3e}")
     return value.real
@@ -284,3 +269,74 @@ def shrinking_factors(coeffs: ClonerCoefficients) -> tuple[float, float]:
     """
     a, b, c = coeffs.as_tuple()
     return 2 * b * (a + c), a * a - c * c
+
+
+# --- batch kernel ------------------------------------------------------------
+# The functions below act on stacks of N cloners at once and validate
+# nothing: validation happens once, in the constructors and public functions
+# above, and callers pass arrays built from validated objects.
+
+# Where the four terms (a, b, b, c) of each column sit in the two-copy
+# register: column 0 at |00>, |01>, |10>, |11>; column 1 at |11>, |10>, |01>, |00>.
+_REGISTER = np.zeros((2, 4, 4), dtype=complex)
+_REGISTER[0, [0, 1, 2, 3], [0, 1, 2, 3]] = 1
+_REGISTER[1, [0, 1, 2, 3], [3, 2, 1, 0]] = 1
+
+
+def _term_kets(ancilla: AncillaAssignment) -> np.ndarray:
+    """The 8-dimensional ket of each term of each column, shape (2, 4, 8):
+    register basis ket (x) ancilla ket, as ``numpy.kron`` computes it."""
+    kets = np.array(
+        [
+            [ancilla.anc_a0, ancilla.anc_b0, ancilla.anc_b0, ancilla.anc_c0],
+            [ancilla.anc_a1, ancilla.anc_b1, ancilla.anc_b1, ancilla.anc_c1],
+        ]
+    )
+    return (_REGISTER[:, :, :, None] * kets[:, :, None, :]).reshape(2, 4, 8)
+
+
+_DEFAULT_TERMS = _term_kets(AncillaAssignment.default())
+
+
+def isometry_batch(coeffs, ancilla: AncillaAssignment | None = None) -> np.ndarray:
+    """Isometries of shape (N, 8, 2) for coefficient rows (a, b, c) of
+    shape (N, 3).
+
+    Each column is summed as a v_a + b (v_b + v_b') + c v_c, the expansion
+    in the module docstring in that order, with each term ket v built as
+    ``numpy.kron`` builds it, so every matrix is bit for bit the one nested
+    ``numpy.kron`` products give.
+    """
+    terms = _DEFAULT_TERMS if ancilla is None else _term_kets(ancilla)
+    coeffs = np.asarray(coeffs, dtype=float)
+    a, b, c = (coeffs[:, k, None, None] for k in range(3))
+    columns = a * terms[:, 0] + b * (terms[:, 1] + terms[:, 2]) + c * terms[:, 3]
+    return columns.transpose(0, 2, 1)
+
+
+def expectation(states, rho) -> np.ndarray:
+    """<psi|rho|psi> for kets of shape (..., 2) and operators of shape
+    (..., 2, 2); complex, so callers can inspect the imaginary residue."""
+    return np.einsum("...i,...ij,...j->...", states.conj(), rho, states)
+
+
+class CopyBatch(NamedTuple):
+    """Both output copies of K inputs through each of N cloners."""
+
+    copy1: np.ndarray  # (N, K, 2, 2) reduced state of copy 1
+    copy2: np.ndarray  # (N, K, 2, 2) reduced state of copy 2
+    fidelities: np.ndarray  # (N, K) real <psi|copy1|psi>
+
+
+def clone_batch(isometries, states) -> CopyBatch:
+    """Push input kets of shape (N, K, 2) through isometries of shape
+    (N, 8, 2) and reduce each pure output straight to its two 2x2 copies;
+    the 8x8 output density matrices are never formed."""
+    n, k = states.shape[:2]
+    # out[n, k, i0, i1, i2]: amplitude on (copy 1, copy 2, ancilla)
+    out = (states @ isometries.transpose(0, 2, 1)).reshape(n, k, 2, 2, 2)
+    first = out.reshape(n, k, 2, 4)
+    second = out.transpose(0, 1, 3, 2, 4).reshape(n, k, 2, 4)
+    copy1 = first @ first.conj().swapaxes(-1, -2)
+    copy2 = second @ second.conj().swapaxes(-1, -2)
+    return CopyBatch(copy1, copy2, expectation(states, copy1).real)

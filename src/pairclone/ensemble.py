@@ -90,9 +90,35 @@ class PairStructure(NamedTuple):
     degenerate: bool
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def family(phis) -> tuple[np.ndarray, np.ndarray]:
+    """States, shape (N, 4, 2), and Bloch vectors, shape (N, 4, 3), of the
+    family at each of N angles.
+
+    Batch kernel behind :func:`make_ensemble`: it validates nothing, so
+    callers pass angles already checked to lie in [0, pi/2].
+    """
+    phis = np.asarray(phis, dtype=float)
+    al, be = np.cos(phis / 2), np.sin(phis / 2)
+    states = np.stack(
+        [
+            np.stack([al, be], axis=-1),
+            np.stack([al, -be], axis=-1),
+            np.stack([be, -al], axis=-1),
+            np.stack([be, al], axis=-1),
+        ],
+        axis=1,
+    ).astype(complex)
+    s, c, zero = np.sin(phis), np.cos(phis), np.zeros_like(phis)
+    bloch = np.stack(
+        [
+            np.stack([s, zero, c], axis=-1),
+            np.stack([-s, zero, c], axis=-1),
+            np.stack([-s, zero, -c], axis=-1),
+            np.stack([s, zero, -c], axis=-1),
+        ],
+        axis=1,
+    )
+    return states, bloch
 
 
 def make_ensemble(phi: float) -> FourStateEnsemble:
@@ -102,28 +128,17 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
     equality checks against the defining expressions are deterministic.
     """
     angle = EnsembleAngle(phi)
-    al, be = angle.alpha, angle.beta
-    states = (
-        np.array([al, be], dtype=complex),
-        np.array([al, -be], dtype=complex),
-        np.array([be, -al], dtype=complex),
-        np.array([be, al], dtype=complex),
-    )
-    s, c = math.sin(angle.phi), math.cos(angle.phi)
-    bloch = (
-        np.array([s, 0.0, c]),
-        np.array([-s, 0.0, c]),
-        np.array([-s, 0.0, -c]),
-        np.array([s, 0.0, -c]),
-    )
+    states, bloch = family([angle.phi])
+    states.setflags(write=False)
+    bloch.setflags(write=False)
     degenerate = (
         angle.phi <= PHI_MIN + _DEGENERACY_ATOL
         or angle.phi >= PHI_MAX - _DEGENERACY_ATOL
     )
     return FourStateEnsemble(
         angle=angle,
-        states=tuple(_readonly(v) for v in states),
-        bloch=tuple(_readonly(v) for v in bloch),
+        states=tuple(states[0]),
+        bloch=tuple(bloch[0]),
         degenerate=degenerate,
     )
 

@@ -22,7 +22,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -43,7 +42,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
             raise ValueError(
                 f"{name} has axis length {length}; admitted lengths are {ADMITTED_DIMS}"
             )
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -135,7 +134,21 @@ def bloch_from_density(rho) -> np.ndarray:
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     if trace_defect > ATOL_INPUT:
         raise ValueError(f"matrix trace deviates from 1 by {trace_defect:.3e}")
-    return np.array([float(np.trace(rho @ s).real) for s in PAULIS])
+    return bloch_vectors(rho)
+
+
+def bloch_vectors(rho) -> np.ndarray:
+    """Bloch components of a stack of 2x2 operators, shape (..., 2, 2) to
+    (..., 3).  Batch kernel behind :func:`bloch_from_density`; it validates
+    nothing, so callers pass operators they built themselves."""
+    return np.stack(
+        [
+            (rho[..., 0, 1] + rho[..., 1, 0]).real,
+            (rho[..., 1, 0] - rho[..., 0, 1]).imag,
+            (rho[..., 0, 0] - rho[..., 1, 1]).real,
+        ],
+        axis=-1,
+    )
 
 
 def eigvals_hermitian_2x2(rho) -> tuple[float, float]:
@@ -164,8 +177,3 @@ def check_density(rho, atol: float = ATOL_INPUT) -> np.ndarray:
         raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
     return rho
 
-
-def is_unit_vector(psi, atol: float = ATOL_INPUT) -> bool:
-    """True when ``psi`` is a ket of unit Euclidean norm."""
-    psi = np.asarray(psi, dtype=complex)
-    return psi.ndim == 1 and abs(float(np.linalg.norm(psi)) - 1.0) <= atol

@@ -25,6 +25,9 @@ from .ensemble import check_angle
 
 _SQRT_HALF = math.sqrt(0.5)
 
+# Coarsest grid :func:`numeric_optimize` accepts.
+MIN_GRID_DENSITY = 64
+
 
 class ConvergenceError(RuntimeError):
     """Grid refinement stopped before reaching the requested tolerance."""
@@ -165,8 +168,10 @@ def numeric_optimize(
     """
     phi = check_angle(phi)
     grid_density = int(grid_density)
-    if grid_density < 64:
-        raise ValueError(f"grid_density must be at least 64, got {grid_density}")
+    if grid_density < MIN_GRID_DENSITY:
+        raise ValueError(
+            f"grid_density must be at least {MIN_GRID_DENSITY}, got {grid_density}"
+        )
     refine_tolerance = float(refine_tolerance)
     if not refine_tolerance > 0:
         raise ValueError("refine_tolerance must be positive")

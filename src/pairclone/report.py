@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import (
-    AncillaAssignment,
     ClonerCoefficients,
-    apply_cloner,
-    build_isometry,
-    copy_state,
-    fidelity,
+    clone_batch,
     fidelity_closed_form,
+    isometry_batch,
     shrinking_factors,
 )
-from .ensemble import check_angle, make_ensemble
-from .linalg import KET_0, bloch_from_density
+from .ensemble import check_angle, family
+from .linalg import KET_0, bloch_vectors
 from .optimizer import (
     lagrange_residual,
     optimal_coefficients,
@@ -33,7 +30,10 @@ from .optimizer import (
     recover_multiplier,
 )
 
+# Channel contraction is measured on probe states: |+> reads off the x
+# factor, |0> the z factor.
 _KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+_PROBES = np.stack([_KET_PLUS, KET_0])
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class CloneReport:
     simulated_eta: tuple
     residuals: tuple
     multiplier: float | None
-    copy_states: tuple
 
 
 def build_clone_report(
@@ -65,21 +64,12 @@ def build_clone_report(
     if coeffs is None:
         coeffs = optimal_coefficients(phi)
 
-    ens = make_ensemble(phi)
-    isometry = build_isometry(coeffs, AncillaAssignment.default())
-
-    fidelities = []
-    copies = []
-    for label in (1, 2, 3, 4):
-        psi = ens.state(label)
-        reduced = copy_state(apply_cloner(isometry, psi), 1)
-        copies.append(reduced)
-        fidelities.append(fidelity(psi, reduced))
-
-    # Channel contraction measured on probe states: |+> reads off the x
-    # factor, |0> the z factor.
-    x_probe = bloch_from_density(copy_state(apply_cloner(isometry, _KET_PLUS), 1))
-    z_probe = bloch_from_density(copy_state(apply_cloner(isometry, KET_0), 1))
+    states, bloch = family([phi])
+    bloch.setflags(write=False)
+    inputs = np.concatenate([states, _PROBES[None]], axis=1)  # (1, 6, 2)
+    copies = clone_batch(isometry_batch([coeffs.as_tuple()]), inputs)
+    fidelities = copies.fidelities[0, :4]
+    x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:])
     simulated_eta = (float(x_probe[0]), float(z_probe[2]))
 
     multiplier = recover_multiplier(coeffs, phi)
@@ -92,15 +82,14 @@ def build_clone_report(
         phi=phi,
         coeffs=coeffs,
         used_closed_form_optimum=used_optimum,
-        input_bloch=tuple(ens.bloch),
-        simulated_fidelities=tuple(fidelities),
+        input_bloch=tuple(bloch[0]),
+        simulated_fidelities=tuple(float(f) for f in fidelities),
         formula_fidelity=fidelity_closed_form(coeffs, phi),
         best_possible_fidelity=optimal_fidelity(phi),
         formula_eta=shrinking_factors(coeffs),
         simulated_eta=simulated_eta,
         residuals=tuple(residuals),
         multiplier=multiplier,
-        copy_states=tuple(copies),
     )
 
 

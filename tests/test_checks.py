@@ -1,5 +1,6 @@
 import pytest
 
+from pairclone import checks
 from pairclone.checks import run_checks
 
 
@@ -31,3 +32,14 @@ def test_parameters_validated():
         run_checks(grid=1)
     with pytest.raises(ValueError):
         run_checks(tolerance=0.0)
+    with pytest.raises(ValueError):
+        run_checks(tolerance=float("inf"))
+    with pytest.raises(ValueError):
+        run_checks(oracle_points=0)
+
+
+def test_grid_blocks_do_not_change_results(monkeypatch):
+    whole = [r.line() for r in run_checks(grid=50, oracle_points=3, oracle_grid=64)]
+    monkeypatch.setattr(checks, "_BLOCK", 7)
+    split = [r.line() for r in run_checks(grid=50, oracle_points=3, oracle_grid=64)]
+    assert split == whole

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pairclone import optimizer
 from pairclone.cli import main, parse_angle
 
 
@@ -95,6 +96,12 @@ class TestSweep:
             main(["sweep", "--steps", "1"])
         assert excinfo.value.code == 2
 
+    def test_coarse_oracle_grid_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--steps", "3", "--with-oracle", "--oracle-grid", "10"])
+        assert excinfo.value.code == 2
+        assert "--oracle-grid" in capsys.readouterr().err
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--steps", "3", "--out", "/no/such/dir/out.csv"
@@ -166,6 +173,32 @@ class TestVerify:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--tolerance", "-1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--steps", "30", "--oracle-grid", "64", "--tolerance", value])
+        assert excinfo.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_coarse_oracle_grid_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--steps", "30", "--oracle-grid", "10"])
+        assert excinfo.value.code == 2
+        assert "--oracle-grid" in capsys.readouterr().err
+
+    def test_nan_deviation_fails_closed(self, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phi: math.nan)
+        code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
+        assert code == 1
+        assert "[FAIL] simulation matches optimal fidelity" in out
+
+    def test_perturbed_closed_form_fails(self, capsys, monkeypatch):
+        exact = optimizer.optimal_fidelity
+        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phi: exact(phi) + 1e-6)
+        code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
+        assert code == 1
+        assert "[FAIL] simulation matches optimal fidelity" in out
 
 
 def test_module_entry_point_runs():

@@ -1,0 +1,116 @@
+"""The batch kernel against independent references.
+
+``build_isometry`` is compared bit for bit with a ``numpy.kron``
+construction written out here, and the kernel's reduced copies with the
+closed-form fidelity, with each other and with the 8x8 density-matrix
+route (``apply_cloner`` then ``copy_state``).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from pairclone.checks import run_checks
+from pairclone.cloner import (
+    AncillaAssignment,
+    ClonerCoefficients,
+    apply_cloner,
+    build_isometry,
+    clone_batch,
+    copy_state,
+    fidelity_closed_form,
+    isometry_batch,
+)
+from pairclone.ensemble import family
+
+SEED = 20261017
+BASIS = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+
+
+def _samples():
+    """200 random angles plus 0, pi/4 and pi/2, each with random
+    coefficients on the surface a^2 + 2b^2 + c^2 = 1."""
+    rng = np.random.default_rng(SEED)
+    phis = np.concatenate([[0.0, math.pi / 4, math.pi / 2], rng.uniform(0, math.pi / 2, 200)])
+    t, u = rng.uniform(0, math.pi / 2, size=(2, len(phis)))
+    coeffs = [
+        ClonerCoefficients(
+            a=math.sin(ti) * math.cos(ui),
+            b=math.cos(ti) / math.sqrt(2),
+            c=math.sin(ti) * math.sin(ui),
+        )
+        for ti, ui in zip(t, u)
+    ]
+    return phis, coeffs
+
+
+PHIS, COEFFS = _samples()
+
+
+def kron_isometry(coeffs, ancilla):
+    """The 8x2 isometry term by term, as nested Kronecker products."""
+
+    def term(i0, i1, anc):
+        return np.kron(np.kron(BASIS[i0], BASIS[i1]), anc)
+
+    a, b, c = coeffs.as_tuple()
+    col0 = (
+        a * term(0, 0, ancilla.anc_a0)
+        + b * (term(0, 1, ancilla.anc_b0) + term(1, 0, ancilla.anc_b0))
+        + c * term(1, 1, ancilla.anc_c0)
+    )
+    col1 = (
+        a * term(1, 1, ancilla.anc_a1)
+        + b * (term(1, 0, ancilla.anc_b1) + term(0, 1, ancilla.anc_b1))
+        + c * term(0, 0, ancilla.anc_c1)
+    )
+    return np.stack([col0, col1], axis=1)
+
+
+def phase_only_ancilla(rng):
+    """The default ancilla kets, each times a random phase."""
+    default = AncillaAssignment.default()
+    kets = (default.anc_a0, default.anc_b0, default.anc_c0,
+            default.anc_a1, default.anc_b1, default.anc_c1)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
+    return AncillaAssignment(*(phase * ket for phase, ket in zip(phases, kets)))
+
+
+@pytest.mark.parametrize("phase_only", [False, True])
+def test_build_isometry_matches_kron_reference_bit_for_bit(phase_only):
+    rng = np.random.default_rng(SEED + 1)
+    for coeffs in COEFFS:
+        ancilla = phase_only_ancilla(rng) if phase_only else None
+        reference = kron_isometry(coeffs, ancilla or AncillaAssignment.default())
+        built = build_isometry(coeffs, ancilla)
+        assert built.shape == (8, 2)
+        assert built.tobytes() == reference.tobytes()
+
+
+def test_kernel_copies_match_closed_form_and_each_other():
+    states, _ = family(PHIS)
+    copies = clone_batch(isometry_batch([cc.as_tuple() for cc in COEFFS]), states)
+    closed = np.array([fidelity_closed_form(cc, phi) for cc, phi in zip(COEFFS, PHIS)])
+    assert copies.fidelities.shape == (len(PHIS), 4)
+    assert np.max(np.abs(copies.fidelities - closed[:, None])) <= 1e-12
+    assert np.max(np.abs(copies.copy1 - copies.copy2)) <= 1e-12
+
+
+def test_kernel_copies_match_density_matrix_route():
+    states, _ = family(PHIS[:20])
+    isometries = isometry_batch([cc.as_tuple() for cc in COEFFS[:20]])
+    copies = clone_batch(isometries, states)
+    for n, isometry in enumerate(isometries):
+        for k, psi in enumerate(states[n]):
+            rho_out = apply_cloner(isometry, psi)
+            assert np.max(np.abs(copies.copy1[n, k] - copy_state(rho_out, 1))) <= 1e-12
+            assert np.max(np.abs(copies.copy2[n, k] - copy_state(rho_out, 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [2, 3])
+def test_smallest_grids_pass_every_check(grid):
+    results = run_checks(grid=grid, oracle_points=3, oracle_grid=64)
+    assert len(results) == 23
+    for result in results:
+        assert result.passed, result.line()
