@@ -70,16 +70,16 @@ def _grid_deviations(phis) -> dict:
     states, bloch = ensemble.family(phis)  # (N, 4, 2), (N, 4, 3)
     s, c = np.sin(phis), np.cos(phis)
     expected = np.stack([[s, c], [-s, c], [-s, -c], [s, -c]]).transpose(2, 0, 1)
-    projectors = states[..., :, None] * states[..., None, :].conj()
     flipped = states[..., ::-1]  # sigma_x |psi>
     partners = states[:, ::-1]  # state 5 - label
     pattern = np.abs(bloch[..., ::2] - expected)
-    recomputed = np.abs(linalg.bloch_vectors(projectors) - bloch)
     deviations = {
         "ensemble unit norms": np.abs(np.linalg.norm(states, axis=-1) - 1.0),
-        "ensemble pair orthogonality": np.abs(np.sum(states[:, :2].conj() * states[:, 2:], axis=-1)),
+        "ensemble pair orthogonality": ensemble.pair_overlaps(states),
         "ensemble y components vanish": np.abs(bloch[..., 1]),
-        "ensemble Bloch pattern": np.concatenate([pattern, recomputed], axis=-1),
+        "ensemble Bloch pattern": np.concatenate(
+            [pattern, ensemble.bloch_defects(states, bloch)], axis=-1
+        ),
         "ensemble relabel symmetry": np.abs(1.0 - np.abs(np.sum(flipped.conj() * partners, axis=-1))),
     }
 

@@ -75,14 +75,9 @@ def _tolerance_argument(text: str) -> float:
     return value
 
 
-def _oracle_grid_argument(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if value < MIN_GRID_DENSITY:
-        raise argparse.ArgumentTypeError(f"must be at least {MIN_GRID_DENSITY}, got {value}")
-    return value
+def _check_oracle_grid(args, parser) -> None:
+    if args.oracle_grid < MIN_GRID_DENSITY:
+        parser.error(f"--oracle-grid must be at least {MIN_GRID_DENSITY}, got {args.oracle_grid}")
 
 
 def _fmt(value: float) -> str:
@@ -106,7 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append a grid-search fidelity column as an independent check",
     )
-    sweep.add_argument("--oracle-grid", type=_oracle_grid_argument, default=256)
+    sweep.add_argument(
+        "--oracle-grid", type=int, default=256, help="grid density, used with --with-oracle"
+    )
 
     clone = sub.add_parser("clone", help="inspect one angle in detail")
     clone.add_argument("phi", type=_angle_argument)
@@ -126,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-10,
         help="bound for closed-form identities; the oracle gets 100x this",
     )
-    verify.add_argument("--oracle-grid", type=_oracle_grid_argument, default=256)
+    verify.add_argument("--oracle-grid", type=int, default=256)
 
     return parser
 
@@ -136,6 +133,8 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("required: 0 <= phi-min < phi-max <= pi/2")
     if args.steps < 2:
         parser.error("--steps must be at least 2")
+    if args.with_oracle:
+        _check_oracle_grid(args, parser)
 
     header = "phi,fidelity_opt,eta_x,eta_z,a,b,c"
     if args.with_oracle:
@@ -197,6 +196,7 @@ def _cmd_clone(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.steps < 2:
         parser.error("--steps must be at least 2")
+    _check_oracle_grid(args, parser)
     results = run_checks(
         grid=args.steps,
         tolerance=args.tolerance,

@@ -33,6 +33,7 @@ from .linalg import (
     as_matrix,
     dagger,
     partial_trace,
+    tensor,
 )
 
 
@@ -162,9 +163,7 @@ def build_isometry(
     happen for non-default ancilla assignments, raises
     :class:`UnitarityError`.
     """
-    isometry = np.ascontiguousarray(
-        isometry_batch(np.array([coeffs.as_tuple()]), ancilla)[0]
-    )
+    isometry = np.ascontiguousarray(isometry_batch([coeffs.as_tuple()], ancilla)[0])
     gram_defect = float(np.abs(dagger(isometry) @ isometry - np.eye(2)).max())
     if gram_defect > ATOL_INPUT:
         raise UnitarityError(
@@ -272,30 +271,35 @@ def shrinking_factors(coeffs: ClonerCoefficients) -> tuple[float, float]:
 
 
 # --- batch kernel ------------------------------------------------------------
-# The functions below act on stacks of N cloners at once and validate
-# nothing: validation happens once, in the constructors and public functions
-# above, and callers pass arrays built from validated objects.
+# The functions below act on stacks of N cloners at once and validate no
+# per-angle input: validation happens once, in the constructors and public
+# functions above, and callers pass arrays built from validated objects.
+# Only the eight shared term kets go through :func:`tensor`, once per call.
 
-# Where the four terms (a, b, b, c) of each column sit in the two-copy
-# register: column 0 at |00>, |01>, |10>, |11>; column 1 at |11>, |10>, |01>, |00>.
-_REGISTER = np.zeros((2, 4, 4), dtype=complex)
-_REGISTER[0, [0, 1, 2, 3], [0, 1, 2, 3]] = 1
-_REGISTER[1, [0, 1, 2, 3], [3, 2, 1, 0]] = 1
+# Immutable (frozen, read-only kets), so one instance serves every call.
+_DEFAULT_ANCILLA = AncillaAssignment.default()
+
+# The two-copy register ket of each term of each column, in the order
+# (a, b, b', c) of the module docstring.
+_REGISTERS = (
+    ((KET_0, KET_0), (KET_0, KET_1), (KET_1, KET_0), (KET_1, KET_1)),
+    ((KET_1, KET_1), (KET_1, KET_0), (KET_0, KET_1), (KET_0, KET_0)),
+)
 
 
 def _term_kets(ancilla: AncillaAssignment) -> np.ndarray:
-    """The 8-dimensional ket of each term of each column, shape (2, 4, 8):
-    register basis ket (x) ancilla ket, as ``numpy.kron`` computes it."""
-    kets = np.array(
+    """The 8-dimensional ket (copy 1) (x) (copy 2) (x) ancilla of each term
+    of each column, shape (2, 4, 8): eight three-factor products."""
+    ancillas = (
+        (ancilla.anc_a0, ancilla.anc_b0, ancilla.anc_b0, ancilla.anc_c0),
+        (ancilla.anc_a1, ancilla.anc_b1, ancilla.anc_b1, ancilla.anc_c1),
+    )
+    return np.array(
         [
-            [ancilla.anc_a0, ancilla.anc_b0, ancilla.anc_b0, ancilla.anc_c0],
-            [ancilla.anc_a1, ancilla.anc_b1, ancilla.anc_b1, ancilla.anc_c1],
+            [tensor(tensor(u, v), anc) for (u, v), anc in zip(registers, kets)]
+            for registers, kets in zip(_REGISTERS, ancillas)
         ]
     )
-    return (_REGISTER[:, :, :, None] * kets[:, :, None, :]).reshape(2, 4, 8)
-
-
-_DEFAULT_TERMS = _term_kets(AncillaAssignment.default())
 
 
 def isometry_batch(coeffs, ancilla: AncillaAssignment | None = None) -> np.ndarray:
@@ -303,11 +307,11 @@ def isometry_batch(coeffs, ancilla: AncillaAssignment | None = None) -> np.ndarr
     shape (N, 3).
 
     Each column is summed as a v_a + b (v_b + v_b') + c v_c, the expansion
-    in the module docstring in that order, with each term ket v built as
-    ``numpy.kron`` builds it, so every matrix is bit for bit the one nested
-    ``numpy.kron`` products give.
+    in the module docstring in that order.  The eight term kets v are
+    built once per call, shared by all N rows, so every matrix is bit for
+    bit the one nested ``numpy.kron`` products give.
     """
-    terms = _DEFAULT_TERMS if ancilla is None else _term_kets(ancilla)
+    terms = _term_kets(_DEFAULT_ANCILLA if ancilla is None else ancilla)
     coeffs = np.asarray(coeffs, dtype=float)
     a, b, c = (coeffs[:, k, None, None] for k in range(3))
     columns = a * terms[:, 0] + b * (terms[:, 1] + terms[:, 2]) + c * terms[:, 3]

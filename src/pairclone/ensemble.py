@@ -24,13 +24,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import bloch_from_density
+from .linalg import bloch_vectors
 
 PHI_MIN = 0.0
 PHI_MAX = math.pi / 2
 
 # Endpoints where distinct labels collapse onto the same physical state.
 _DEGENERACY_ATOL = 1e-12
+
+# The two orthogonal pairs, as 1-based labels.
+PAIRS = ((1, 3), (2, 4))
+_FIRST = [i - 1 for i, _ in PAIRS]
+_SECOND = [j - 1 for _, j in PAIRS]
 
 
 def check_angle(phi: float) -> float:
@@ -143,6 +148,22 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
     )
 
 
+def pair_overlaps(states) -> np.ndarray:
+    """|<psi_i|psi_j>| for each pair (i, j) of :data:`PAIRS`, from states of
+    shape (N, 4, 2) to shape (N, 2).  Batch kernel behind
+    :func:`pair_structure`; it validates nothing."""
+    return np.abs(np.sum(states[:, _FIRST].conj() * states[:, _SECOND], axis=-1))
+
+
+def bloch_defects(states, bloch) -> np.ndarray:
+    """|Bloch vector recomputed from the state projector - stored Bloch
+    vector|, shape (N, 4, 3), for states (N, 4, 2) and Bloch vectors
+    (N, 4, 3).  Batch kernel behind :func:`ensemble_bloch_consistency`; it
+    validates nothing, and a NaN anywhere stays in the result."""
+    projectors = states[..., :, None] * states[..., None, :].conj()
+    return np.abs(bloch_vectors(projectors) - bloch)
+
+
 def pair_structure(ensemble: FourStateEnsemble) -> PairStructure:
     """Return the two orthogonal pairs as 1-based label pairs.
 
@@ -150,21 +171,16 @@ def pair_structure(ensemble: FourStateEnsemble) -> PairStructure:
     here to 1e-12.  At the degenerate endpoints the labels still pair the
     same way, with ``degenerate`` flagging that distinct labels coincide.
     """
-    for i, j in ((1, 3), (2, 4)):
-        overlap = abs(np.vdot(ensemble.state(i), ensemble.state(j)))
-        if overlap > 1e-12:
+    overlaps = pair_overlaps(np.array([ensemble.states]))[0]
+    for (i, j), overlap in zip(PAIRS, overlaps):
+        if not overlap <= 1e-12:
             raise ValueError(
                 f"states {i} and {j} are not orthogonal (overlap {overlap:.3e})"
             )
-    return PairStructure(pairs=((1, 3), (2, 4)), degenerate=ensemble.degenerate)
+    return PairStructure(pairs=PAIRS, degenerate=ensemble.degenerate)
 
 
 def ensemble_bloch_consistency(ensemble: FourStateEnsemble) -> float:
     """Max deviation between stored Bloch vectors and the ones recomputed
     from the state projectors.  Diagnostic used by the verification suite."""
-    worst = 0.0
-    for label in (1, 2, 3, 4):
-        psi = ensemble.state(label)
-        recomputed = bloch_from_density(np.outer(psi, psi.conj()))
-        worst = max(worst, float(np.abs(recomputed - ensemble.bloch_vector(label)).max()))
-    return worst
+    return float(np.max(bloch_defects(np.array([ensemble.states]), np.array([ensemble.bloch]))))

@@ -57,7 +57,10 @@ def tensor(a, b) -> np.ndarray:
 
     Row/column index pairs combine as ``(i_a, i_b) -> i_a * dim_b + i_b``,
     i.e. the first factor is the most significant digit.  Raises if any
-    product axis length leaves the admitted set {1, 2, 4, 8}.
+    product axis length leaves the admitted set {1, 2, 4, 8}.  The result
+    is bit for bit ``numpy.kron(a, b)``: the same entrywise products,
+    arranged by one outer product and a reshape, which is several times
+    faster than ``numpy.kron`` at these sizes.
     """
     a = as_matrix(a, "tensor operand a")
     b = as_matrix(b, "tensor operand b")
@@ -68,7 +71,10 @@ def tensor(a, b) -> np.ndarray:
             raise ValueError(
                 f"tensor product axis length {la * lb} not in {ADMITTED_DIMS}"
             )
-    return np.kron(a, b)
+    product = np.multiply.outer(a, b)  # axes (a rows, [a cols,] b rows[, b cols])
+    if a.ndim == 2:
+        product = product.transpose(0, 2, 1, 3)
+    return product.reshape([la * lb for la, lb in zip(a.shape, b.shape)])
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

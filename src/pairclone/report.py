@@ -1,7 +1,7 @@
 """Per-angle diagnostic bundle combining simulation and closed forms.
 
 Everything redundant is computed twice on purpose: fidelities come from
-the full density-matrix simulation and from the closed formula, and the
+simulating the cloning isometry and from the closed formula, and the
 shrinking factors come from the coefficient expressions and from pushing
 probe states through the simulated channel.  A report whose paired values
 disagree is the fastest way to spot a convention bug.
@@ -16,9 +16,9 @@ import numpy as np
 
 from .cloner import (
     ClonerCoefficients,
+    build_isometry,
     clone_batch,
     fidelity_closed_form,
-    isometry_batch,
     shrinking_factors,
 )
 from .ensemble import check_angle, family
@@ -67,7 +67,7 @@ def build_clone_report(
     states, bloch = family([phi])
     bloch.setflags(write=False)
     inputs = np.concatenate([states, _PROBES[None]], axis=1)  # (1, 6, 2)
-    copies = clone_batch(isometry_batch([coeffs.as_tuple()]), inputs)
+    copies = clone_batch(build_isometry(coeffs)[None], inputs)
     fidelities = copies.fidelities[0, :4]
     x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:])
     simulated_eta = (float(x_probe[0]), float(z_probe[2]))

@@ -102,6 +102,11 @@ class TestSweep:
         assert excinfo.value.code == 2
         assert "--oracle-grid" in capsys.readouterr().err
 
+    def test_oracle_grid_ignored_without_oracle(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--steps", "3", "--oracle-grid", "10")
+        assert code == 0
+        assert out.splitlines()[0] == "phi,fidelity_opt,eta_x,eta_z,a,b,c"
+
     def test_unwritable_path(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--steps", "3", "--out", "/no/such/dir/out.csv"

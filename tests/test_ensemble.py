@@ -5,8 +5,11 @@ import pytest
 
 from pairclone.ensemble import (
     EnsembleAngle,
+    bloch_defects,
     ensemble_bloch_consistency,
+    family,
     make_ensemble,
+    pair_overlaps,
     pair_structure,
 )
 from pairclone.linalg import SIGMA_X
@@ -95,6 +98,22 @@ def test_pair_structure():
     at_zero = pair_structure(make_ensemble(0.0))
     assert at_zero.pairs == ((1, 3), (2, 4))
     assert at_zero.degenerate
+
+
+def test_batch_helpers_match_the_scalar_functions():
+    phis = np.linspace(0, math.pi / 2, 37)
+    states, bloch = family(phis)
+    overlaps = pair_overlaps(states)
+    defects = bloch_defects(states, bloch)
+    assert overlaps.shape == (37, 2) and defects.shape == (37, 4, 3)
+    assert np.max(overlaps) <= TOL
+    for n, phi in enumerate(phis):
+        ens = make_ensemble(float(phi))
+        for (i, j), overlap in zip(pair_structure(ens).pairs, overlaps[n]):
+            assert abs(overlap - abs(np.vdot(ens.state(i), ens.state(j)))) <= 1e-16
+        assert ensemble_bloch_consistency(ens) == np.max(defects[n])
+    bloch[3, 1, 2] = math.nan
+    assert math.isnan(np.max(bloch_defects(states, bloch)))
 
 
 def test_states_are_read_only():

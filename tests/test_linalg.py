@@ -76,6 +76,20 @@ class TestTensor:
             right = tensor(a, tensor(b, c.reshape(2, 1)))
             assert np.abs(left - right).max() <= SELF_TOL
 
+    @pytest.mark.parametrize(
+        "shape_a,shape_b",
+        [((2,), (2,)), ((4,), (2,)), ((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 1), (4, 2))],
+    )
+    def test_bit_identical_to_numpy_kron(self, shape_a, shape_b):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+            a.real[rng.random(shape_a) < 0.3] = -0.0  # signed zeros must carry over
+            b.imag[rng.random(shape_b) < 0.3] = 0.0
+            assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert tensor(a, b).shape == np.kron(a, b).shape
+
     def test_dimension_overflow_rejected(self):
         m8 = np.eye(8, dtype=complex)
         with pytest.raises(ValueError, match="not in"):
