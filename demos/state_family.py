@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from pairclone import make_ensemble, pair_structure
+from pairclone import make_ensemble
+from pairclone.ensemble import PAIRS
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -22,9 +23,9 @@ def show(phi, title):
     print(f"{title}   (phi = {phi:.6f} rad)")
     print("=" * 64)
     ens = make_ensemble(phi)
-    structure = pair_structure(ens)
-    print(f"alpha = cos(phi/2) = {ens.angle.alpha:.6f}")
-    print(f"beta  = sin(phi/2) = {ens.angle.beta:.6f}")
+    alpha, beta = ens.state(1).real  # state 1 is (alpha, beta)
+    print(f"alpha = cos(phi/2) = {alpha:.6f}")
+    print(f"beta  = sin(phi/2) = {beta:.6f}")
     print()
     for label in (1, 2, 3, 4):
         psi = ens.state(label)
@@ -32,8 +33,10 @@ def show(phi, title):
         print(f"  state {label}:  amplitudes ({psi[0].real:+.6f}, {psi[1].real:+.6f})"
               f"   Bloch ({m[0]:+.6f}, {m[1]:+.6f}, {m[2]:+.6f})")
     print()
-    print(f"  orthogonal pairs: {structure.pairs[0]} and {structure.pairs[1]}")
-    if structure.degenerate:
+    overlaps = [abs(complex(np.vdot(ens.state(i), ens.state(j)))) for i, j in PAIRS]
+    print(f"  orthogonal pairs: {PAIRS[0]} and {PAIRS[1]}"
+          f"  (|overlaps| {overlaps[0]:.1e}, {overlaps[1]:.1e})")
+    if ens.degenerate:
         print("  note: degenerate endpoint, distinct labels describe the same state")
     overlap_12 = complex(np.vdot(ens.state(1), ens.state(2))).real
     print(f"  overlap <state1|state2> = {overlap_12:+.6f}  (equals cos(phi))")

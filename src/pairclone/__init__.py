@@ -21,13 +21,7 @@ from .cloner import (
     fidelity_general,
     shrinking_factors,
 )
-from .ensemble import (
-    EnsembleAngle,
-    FourStateEnsemble,
-    PairStructure,
-    make_ensemble,
-    pair_structure,
-)
+from .ensemble import FourStateEnsemble, make_ensemble
 from .linalg import (
     bloch_from_density,
     density_from_bloch,
@@ -37,13 +31,11 @@ from .linalg import (
 from .optimizer import (
     ConvergenceError,
     NumericSearchReport,
-    OptimalSolution,
     lagrange_residual,
     numeric_optimize,
     optimal_coefficients,
     optimal_fidelity,
     optimal_shrinking,
-    optimal_solution,
     recover_multiplier,
 )
 from .report import CloneReport, build_clone_report, format_clone_report
@@ -56,12 +48,9 @@ __all__ = [
     "CloneReport",
     "ClonerCoefficients",
     "ConvergenceError",
-    "EnsembleAngle",
     "FourStateEnsemble",
     "NumericSearchReport",
-    "OptimalSolution",
     "OverlapSet",
-    "PairStructure",
     "UnitarityError",
     "apply_cloner",
     "bloch_from_density",
@@ -79,8 +68,6 @@ __all__ = [
     "optimal_coefficients",
     "optimal_fidelity",
     "optimal_shrinking",
-    "optimal_solution",
-    "pair_structure",
     "partial_trace",
     "recover_multiplier",
     "run_checks",

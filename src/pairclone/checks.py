@@ -141,7 +141,7 @@ def run_checks(
     # --- copy symmetry and channel geometry on random states -------------
     channel_phis = np.linspace(0.0, _HALF_PI, 25)
     channel_coeffs = [optimizer.optimal_coefficients(phi) for phi in channel_phis]
-    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 4))
+    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 100))
     kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
     copies = cloner.clone_batch(
         cloner.isometry_batch([cc.as_tuple() for cc in channel_coeffs]), kets
@@ -159,7 +159,7 @@ def run_checks(
     # --- general fidelity formula over random feasible coefficients ------
     general, monotone, general_phis = [], [], []
     maximal = cloner.OverlapSet.maximal()
-    for _ in range(200):
+    for _ in range(1000):
         t, u = rng.uniform(0.0, _HALF_PI, size=2)
         cc = cloner.ClonerCoefficients(
             a=math.sin(t) * math.cos(u),
@@ -210,7 +210,7 @@ def run_checks(
 
     # --- worst case sits at the centre of the range ------------------------
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
-    values = 0.5 * (1.0 + np.sqrt(np.sin(fine) ** 4 + np.cos(fine) ** 4))
+    values = np.array([optimizer.optimal_fidelity(phi) for phi in fine])
     argmin = int(np.argmin(values))
     step = fine[1] - fine[0]
     results.append(

@@ -122,7 +122,9 @@ class OverlapSet:
 
     ``re_ab`` is Re<anc_a0|anc_b1> + Re<anc_b0|anc_a1> and ``re_bc`` is
     Re<anc_b0|anc_c1> + Re<anc_c0|anc_b1>; each is bounded by 2 in
-    magnitude since all kets are unit vectors.
+    magnitude since all kets are unit vectors.  The formula holds for
+    ancillas that are the default assignment up to one common unitary and
+    a phase on each ket; see :meth:`from_ancilla`.
     """
 
     re_ab: float
@@ -141,6 +143,27 @@ class OverlapSet:
 
     @classmethod
     def from_ancilla(cls, ancilla: AncillaAssignment) -> "OverlapSet":
+        """Overlap sums of an assignment inside the formula's domain.
+
+        The formula drops the within-column overlaps, so it holds only when
+        <anc_a0|anc_b0>, <anc_b0|anc_c0>, <anc_a1|anc_b1>, <anc_b1|anc_c1>
+        and <anc_a0|anc_a1> vanish: in two dimensions that is the default
+        assignment up to one common unitary and a phase on each ket.  Any
+        other assignment raises ``ValueError``.
+        """
+        for bra, ket in (
+            ("anc_a0", "anc_b0"),
+            ("anc_b0", "anc_c0"),
+            ("anc_a1", "anc_b1"),
+            ("anc_b1", "anc_c1"),
+            ("anc_a0", "anc_a1"),
+        ):
+            overlap = abs(np.vdot(getattr(ancilla, bra), getattr(ancilla, ket)))
+            if overlap > 1e-12:
+                raise ValueError(
+                    f"<{bra}|{ket}> = {overlap:.3e} is not 0: the general "
+                    "fidelity formula does not cover this ancilla assignment"
+                )
         re_ab = float(
             np.vdot(ancilla.anc_a0, ancilla.anc_b1).real
             + np.vdot(ancilla.anc_b0, ancilla.anc_a1).real
@@ -239,7 +262,9 @@ def fidelity_closed_form(coeffs: ClonerCoefficients, phi: float) -> float:
 def fidelity_general(
     coeffs: ClonerCoefficients, phi: float, overlaps: OverlapSet
 ) -> float:
-    """Copy fidelity for arbitrary ancilla overlap sums:
+    """Copy fidelity for the overlap sums of an ancilla assignment that is
+    the default one up to a common unitary and a phase on each ket (the
+    domain :meth:`OverlapSet.from_ancilla` admits):
 
         F = a^2 (alpha^4 + beta^4) + 2 c^2 alpha^2 beta^2 + b^2
             + alpha^2 beta^2 (2 a b re_ab + 2 b c re_bc)

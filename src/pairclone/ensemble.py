@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,24 +48,6 @@ def check_angle(phi: float) -> float:
 
 
 @dataclass(frozen=True)
-class EnsembleAngle:
-    """Family parameter ``phi`` with its derived amplitudes."""
-
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", check_angle(self.phi))
-
-    @property
-    def alpha(self) -> float:
-        return math.cos(self.phi / 2)
-
-    @property
-    def beta(self) -> float:
-        return math.sin(self.phi / 2)
-
-
-@dataclass(frozen=True)
 class FourStateEnsemble:
     """The four states and their Bloch vectors for one angle.
 
@@ -74,7 +55,7 @@ class FourStateEnsemble:
     to index by the 1-based label used throughout the package.
     """
 
-    angle: EnsembleAngle
+    phi: float
     states: tuple
     bloch: tuple
     degenerate: bool
@@ -88,11 +69,6 @@ class FourStateEnsemble:
         if label not in (1, 2, 3, 4):
             raise ValueError(f"state label must be 1..4, got {label}")
         return self.bloch[label - 1]
-
-
-class PairStructure(NamedTuple):
-    pairs: tuple
-    degenerate: bool
 
 
 def family(phis) -> tuple[np.ndarray, np.ndarray]:
@@ -132,16 +108,15 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
     Amplitudes are stored exactly as real numbers (no phase freedom), so
     equality checks against the defining expressions are deterministic.
     """
-    angle = EnsembleAngle(phi)
-    states, bloch = family([angle.phi])
+    phi = check_angle(phi)
+    states, bloch = family([phi])
     states.setflags(write=False)
     bloch.setflags(write=False)
     degenerate = (
-        angle.phi <= PHI_MIN + _DEGENERACY_ATOL
-        or angle.phi >= PHI_MAX - _DEGENERACY_ATOL
+        phi <= PHI_MIN + _DEGENERACY_ATOL or phi >= PHI_MAX - _DEGENERACY_ATOL
     )
     return FourStateEnsemble(
-        angle=angle,
+        phi=phi,
         states=tuple(states[0]),
         bloch=tuple(bloch[0]),
         degenerate=degenerate,
@@ -150,37 +125,14 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
 
 def pair_overlaps(states) -> np.ndarray:
     """|<psi_i|psi_j>| for each pair (i, j) of :data:`PAIRS`, from states of
-    shape (N, 4, 2) to shape (N, 2).  Batch kernel behind
-    :func:`pair_structure`; it validates nothing."""
+    shape (N, 4, 2) to shape (N, 2); it validates nothing."""
     return np.abs(np.sum(states[:, _FIRST].conj() * states[:, _SECOND], axis=-1))
 
 
 def bloch_defects(states, bloch) -> np.ndarray:
     """|Bloch vector recomputed from the state projector - stored Bloch
     vector|, shape (N, 4, 3), for states (N, 4, 2) and Bloch vectors
-    (N, 4, 3).  Batch kernel behind :func:`ensemble_bloch_consistency`; it
-    validates nothing, and a NaN anywhere stays in the result."""
+    (N, 4, 3); it validates nothing, and a NaN anywhere stays in the
+    result."""
     projectors = states[..., :, None] * states[..., None, :].conj()
     return np.abs(bloch_vectors(projectors) - bloch)
-
-
-def pair_structure(ensemble: FourStateEnsemble) -> PairStructure:
-    """Return the two orthogonal pairs as 1-based label pairs.
-
-    The pairing is always {1, 3} and {2, 4}; orthogonality is re-verified
-    here to 1e-12.  At the degenerate endpoints the labels still pair the
-    same way, with ``degenerate`` flagging that distinct labels coincide.
-    """
-    overlaps = pair_overlaps(np.array([ensemble.states]))[0]
-    for (i, j), overlap in zip(PAIRS, overlaps):
-        if not overlap <= 1e-12:
-            raise ValueError(
-                f"states {i} and {j} are not orthogonal (overlap {overlap:.3e})"
-            )
-    return PairStructure(pairs=PAIRS, degenerate=ensemble.degenerate)
-
-
-def ensemble_bloch_consistency(ensemble: FourStateEnsemble) -> float:
-    """Max deviation between stored Bloch vectors and the ones recomputed
-    from the state projectors.  Diagnostic used by the verification suite."""
-    return float(np.max(bloch_defects(np.array([ensemble.states]), np.array([ensemble.bloch]))))

@@ -155,31 +155,3 @@ def bloch_vectors(rho) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def eigvals_hermitian_2x2(rho) -> tuple[float, float]:
-    """Closed-form eigenvalues of a Hermitian 2x2 matrix, ascending."""
-    rho = np.asarray(rho, dtype=complex)
-    mean = 0.5 * (rho[0, 0].real + rho[1, 1].real)
-    radius = float(np.hypot(0.5 * (rho[0, 0].real - rho[1, 1].real), abs(rho[0, 1])))
-    return mean - radius, mean + radius
-
-
-def check_density(rho, atol: float = ATOL_INPUT) -> np.ndarray:
-    """Validate a 2x2 density operator: Hermitian, trace one, PSD.
-
-    Positive semidefiniteness uses the closed-form 2x2 eigenvalues.
-    Returns the validated array.
-    """
-    rho = as_matrix(rho, "rho")
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    if float(np.abs(rho - dagger(rho)).max()) > atol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(complex(np.trace(rho)) - 1.0) > atol:
-        raise ValueError("density matrix trace is not 1")
-    low, _ = eigvals_hermitian_2x2(rho)
-    if low < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
-    return rho
-

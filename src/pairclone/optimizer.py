@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import ClonerCoefficients, fidelity_closed_form, shrinking_factors
+from .cloner import ClonerCoefficients
 from .ensemble import check_angle
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -35,18 +35,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, achieved_tolerance: float):
         super().__init__(message)
         self.achieved_tolerance = achieved_tolerance
-
-
-@dataclass(frozen=True)
-class OptimalSolution:
-    """Closed-form optimum at one angle, with the recovered multiplier."""
-
-    phi: float
-    coeffs: ClonerCoefficients
-    fidelity: float
-    eta_x: float
-    eta_z: float
-    multiplier: float
 
 
 @dataclass(frozen=True)
@@ -124,23 +112,6 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     if c > 1e-9:
         return (-c * cos2 + b * sin2) / (2 * c)
     return None
-
-
-def optimal_solution(phi: float) -> OptimalSolution:
-    """Bundle the closed-form optimum at ``phi`` into one record."""
-    phi = check_angle(phi)
-    coeffs = optimal_coefficients(phi)
-    eta_x, eta_z = shrinking_factors(coeffs)
-    multiplier = recover_multiplier(coeffs, phi)
-    assert multiplier is not None  # a >= 1/2 for the closed-form optimum
-    return OptimalSolution(
-        phi=phi,
-        coeffs=coeffs,
-        fidelity=fidelity_closed_form(coeffs, phi),
-        eta_x=eta_x,
-        eta_z=eta_z,
-        multiplier=multiplier,
-    )
 
 
 def numeric_optimize(

@@ -1,49 +1,24 @@
 """Acceptance suite: every release criterion, one test each.
 
-Each test prints a one-line verdict (visible with ``pytest -s``); the
-asserts carry the actual tolerances.  Everything here goes through the
-public API only.
+Criteria 2-9 read the named results of one ``run_checks()`` call, the
+sweep behind ``pairclone verify``, and hold each deviation at its pinned
+bound; criterion 1 and the pi/4 shrinking factors are direct single-point
+assertions.  Each test prints a one-line verdict (visible with
+``pytest -s``); the asserts carry the actual bounds.
 """
 
 import math
 
-import numpy as np
+import pytest
 
-from pairclone import (
-    ClonerCoefficients,
-    OverlapSet,
-    apply_cloner,
-    bloch_from_density,
-    build_isometry,
-    copy_state,
-    fidelity,
-    fidelity_closed_form,
-    fidelity_general,
-    make_ensemble,
-    numeric_optimize,
-    optimal_coefficients,
-    optimal_fidelity,
-    optimal_shrinking,
-    recover_multiplier,
-    lagrange_residual,
-    shrinking_factors,
-)
+from pairclone import build_clone_report, optimal_shrinking, run_checks
 from pairclone.cli import main as cli_main
 
-HALF_PI = math.pi / 2
 
-
-def simulate_four(phi):
-    """Full pipeline: ensemble -> isometry -> output state -> reduced copy."""
-    ens = make_ensemble(phi)
-    isometry = build_isometry(optimal_coefficients(phi))
-    fids, copies = [], []
-    for label in (1, 2, 3, 4):
-        psi = ens.state(label)
-        reduced = copy_state(apply_cloner(isometry, psi), 1)
-        copies.append(reduced)
-        fids.append(fidelity(psi, reduced))
-    return ens, fids, copies
+@pytest.fixture(scope="module")
+def checks():
+    """Every verify property at the defaults, by name."""
+    return {result.name: result for result in run_checks()}
 
 
 def report(line):
@@ -54,176 +29,101 @@ def test_criterion_1_bb84_point():
     """Simulated fidelity at phi = pi/4 equals (1 + 1/sqrt(2))/2 for all
     four states, within 1e-12."""
     expected = (1 + 1 / math.sqrt(2)) / 2
-    _, fids, _ = simulate_four(math.pi / 4)
+    fids = build_clone_report(math.pi / 4).simulated_fidelities
+    assert len(fids) == 4
     worst = max(abs(f - expected) for f in fids)
     assert worst <= 1e-12, f"worst deviation {worst:.3e}"
     report(f"[PASS] criterion 1: four simulated fidelities at pi/4 match "
            f"(1 + 1/sqrt(2))/2 to {worst:.2e} <= 1e-12")
 
 
-def test_criterion_2_closed_form_equals_simulation():
+def test_criterion_2_closed_form_equals_simulation(checks):
     """On a 1000-point grid the simulated fidelities match the closed-form
     optimum within 1e-12 and agree pairwise within 1e-12."""
-    worst_formula = worst_pairwise = 0.0
-    for phi in np.linspace(0.0, HALF_PI, 1000):
-        phi = float(phi)
-        _, fids, _ = simulate_four(phi)
-        f_opt = optimal_fidelity(phi)
-        worst_formula = max(worst_formula, max(abs(f - f_opt) for f in fids))
-        worst_pairwise = max(worst_pairwise, max(fids) - min(fids))
-    assert worst_formula <= 1e-12, f"formula mismatch {worst_formula:.3e}"
-    assert worst_pairwise <= 1e-12, f"pairwise spread {worst_pairwise:.3e}"
-    report(f"[PASS] criterion 2: closed form vs simulation {worst_formula:.2e}, "
-           f"pairwise spread {worst_pairwise:.2e}, both <= 1e-12")
+    formula = checks["simulation matches optimal fidelity"].deviation
+    pairwise = checks["four fidelities equal"].deviation
+    assert formula <= 1e-12, f"formula mismatch {formula:.3e}"
+    assert pairwise <= 1e-12, f"pairwise spread {pairwise:.3e}"
+    report(f"[PASS] criterion 2: closed form vs simulation {formula:.2e}, "
+           f"pairwise spread {pairwise:.2e}, both <= 1e-12")
 
 
-def test_criterion_3_unitarity():
+def test_criterion_3_unitarity(checks):
     """Optimal coefficients satisfy the constraint and the isometry has
-    orthonormal columns, both within 1e-12 across the grid."""
-    worst_constraint = worst_gram = 0.0
-    eye2 = np.eye(2)
-    for phi in np.linspace(0.0, HALF_PI, 1000):
-        coeffs = optimal_coefficients(float(phi))
-        worst_constraint = max(worst_constraint, abs(coeffs.constraint_defect))
-        isometry = build_isometry(coeffs)
-        gram = isometry.conj().T @ isometry
-        worst_gram = max(worst_gram, float(np.abs(gram - eye2).max()))
-    assert worst_constraint <= 1e-12
-    assert worst_gram <= 1e-12
-    report(f"[PASS] criterion 3: constraint defect {worst_constraint:.2e}, "
-           f"isometry defect {worst_gram:.2e}, both <= 1e-12")
+    orthonormal columns, both within 1e-12 across the 1000-point grid."""
+    constraint = checks["optimal coefficient constraint"].deviation
+    gram = checks["isometry columns orthonormal"].deviation
+    assert constraint <= 1e-12, f"constraint defect {constraint:.3e}"
+    assert gram <= 1e-12, f"isometry defect {gram:.3e}"
+    report(f"[PASS] criterion 3: constraint defect {constraint:.2e}, "
+           f"isometry defect {gram:.2e}, both <= 1e-12")
 
 
-def test_criterion_4_oracle_optimality():
-    """The grid-search maximiser reproduces the optimal fidelity within
-    1e-8 and the optimal coefficients within 1e-4 on a 25-point grid."""
-    worst_f = worst_c = 0.0
-    for phi in np.linspace(0.0, HALF_PI, 25):
-        phi = float(phi)
-        search = numeric_optimize(phi, grid_density=256)
-        worst_f = max(worst_f, abs(search.best_fidelity - optimal_fidelity(phi)))
-        closed = optimal_coefficients(phi)
-        found = search.best_coeffs
-        worst_c = max(
-            worst_c,
-            abs(found.a - closed.a),
-            abs(found.b - closed.b),
-            abs(found.c - closed.c),
-        )
-    assert worst_f <= 1e-8, f"fidelity gap {worst_f:.3e}"
-    assert worst_c <= 1e-4, f"coefficient gap {worst_c:.3e}"
-    report(f"[PASS] criterion 4: oracle fidelity gap {worst_f:.2e} <= 1e-8, "
-           f"coefficient gap {worst_c:.2e} <= 1e-4")
+def test_criterion_4_oracle_optimality(checks):
+    """The grid-search maximiser (grid 256) reproduces the optimal fidelity
+    within 1e-8 and the optimal coefficients within 1e-4 on a 25-point
+    grid."""
+    gap_f = checks["oracle fidelity agreement"].deviation
+    gap_c = checks["oracle coefficient agreement"].deviation
+    assert gap_f <= 1e-8, f"fidelity gap {gap_f:.3e}"
+    assert gap_c <= 1e-4, f"coefficient gap {gap_c:.3e}"
+    report(f"[PASS] criterion 4: oracle fidelity gap {gap_f:.2e} <= 1e-8, "
+           f"coefficient gap {gap_c:.2e} <= 1e-4")
 
 
-def test_criterion_5_stationarity():
+def test_criterion_5_stationarity(checks):
     """All four stationarity residuals vanish (< 1e-10) at the closed-form
-    solution on a 100-point grid."""
-    worst = 0.0
-    for phi in np.linspace(0.0, HALF_PI, 100):
-        phi = float(phi)
-        coeffs = optimal_coefficients(phi)
-        lam = recover_multiplier(coeffs, phi)
-        residuals = lagrange_residual(coeffs, lam, phi)
-        worst = max(worst, max(abs(r) for r in residuals))
+    solution on the 1000-point grid."""
+    worst = checks["stationarity residuals"].deviation
     assert worst < 1e-10, f"residual {worst:.3e}"
     report(f"[PASS] criterion 5: stationarity residuals {worst:.2e} < 1e-10")
 
 
-def test_criterion_6_shrinking_identities():
-    """Shrinking factors satisfy their identities and predict the simulated
-    channel on x-z-plane states, all within 1e-12."""
-    worst_norm = worst_reflect = 0.0
-    for phi in np.linspace(0.0, HALF_PI, 100):
-        phi = float(phi)
-        eta_x, eta_z = optimal_shrinking(phi)
-        worst_norm = max(worst_norm, abs(eta_x**2 + eta_z**2 - 1.0))
-        worst_reflect = max(
-            worst_reflect, abs(eta_x - optimal_shrinking(HALF_PI - phi)[1])
-        )
-    point = optimal_shrinking(math.pi / 4)
-    worst_point = max(abs(point[0] - 1 / math.sqrt(2)), abs(point[1] - 1 / math.sqrt(2)))
-
-    rng = np.random.default_rng(606)
-    worst_map = 0.0
-    for phi in np.linspace(0.0, HALF_PI, 25):
-        coeffs = optimal_coefficients(float(phi))
-        isometry = build_isometry(coeffs)
-        eta_x, eta_z = shrinking_factors(coeffs)
-        for theta in rng.uniform(0.0, 2 * math.pi, size=100):
-            psi = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
-            out = bloch_from_density(copy_state(apply_cloner(isometry, psi), 1))
-            expected = np.array([eta_x * math.sin(theta), 0.0, eta_z * math.cos(theta)])
-            worst_map = max(worst_map, float(np.abs(out - expected).max()))
-
-    assert worst_norm <= 1e-12
-    assert worst_reflect <= 1e-12
-    assert worst_point <= 1e-12
-    assert worst_map <= 1e-12, f"channel map deviation {worst_map:.3e}"
-    report(f"[PASS] criterion 6: eta identities {max(worst_norm, worst_reflect, worst_point):.2e}, "
-           f"channel map {worst_map:.2e}, all <= 1e-12")
+def test_criterion_6_shrinking_identities(checks):
+    """Shrinking factors satisfy their identities, take the value 1/sqrt(2)
+    at pi/4, and predict the simulated channel on 25 x 100 random x-z-plane
+    states, all within 1e-12."""
+    identities = checks["shrinking factor identities"].deviation
+    reflection = checks["shrinking reflection symmetry"].deviation
+    channel = checks["channel Bloch contraction map"].deviation
+    point = max(abs(eta - 1 / math.sqrt(2)) for eta in optimal_shrinking(math.pi / 4))
+    assert identities <= 1e-12, f"identity deviation {identities:.3e}"
+    assert reflection <= 1e-12, f"reflection deviation {reflection:.3e}"
+    assert point <= 1e-12, f"pi/4 value off by {point:.3e}"
+    assert channel <= 1e-12, f"channel map deviation {channel:.3e}"
+    report(f"[PASS] criterion 6: eta identities {max(identities, reflection, point):.2e}, "
+           f"channel map {channel:.2e}, all <= 1e-12")
 
 
-def test_criterion_7_worst_case_at_quarter_pi():
+def test_criterion_7_worst_case_at_quarter_pi(checks):
     """The fidelity minimum over [0, pi/2] sits within one 1e-4 grid step
     of pi/4."""
-    grid = np.linspace(0.0, HALF_PI, 15709)  # spacing just under 1e-4
-    step = float(grid[1] - grid[0])
-    values = np.array([optimal_fidelity(float(p)) for p in grid])
-    argmin = int(np.argmin(values))
-    location_error = abs(float(grid[argmin]) - math.pi / 4)
-    assert location_error <= step, f"argmin off by {location_error:.3e}"
-    assert values[argmin] <= values.min() + 1e-15
-    report(f"[PASS] criterion 7: fidelity minimum at phi={grid[argmin]:.6f}, "
-           f"|argmin - pi/4| = {location_error:.2e} <= step {step:.2e}")
+    minimum = checks["fidelity minimum at pi/4"]
+    assert minimum.tolerance <= 1e-4, f"grid step {minimum.tolerance:.3e}"
+    assert minimum.deviation <= minimum.tolerance, f"argmin off by {minimum.deviation:.3e}"
+    report(f"[PASS] criterion 7: fidelity minimum at {minimum.worst_at}, "
+           f"|argmin - pi/4| = {minimum.deviation:.2e} <= step {minimum.tolerance:.2e}")
 
 
-def test_criterion_8_perfect_cloning_limits():
+def test_criterion_8_perfect_cloning_limits(checks):
     """Fidelity is exactly 1 at both endpoints and the copy at phi = 0
-    reproduces each input density matrix entrywise."""
-    end_dev = max(abs(optimal_fidelity(0.0) - 1.0), abs(optimal_fidelity(HALF_PI) - 1.0))
-    assert end_dev <= 1e-12
-
-    ens, fids, copies = simulate_four(0.0)
-    worst_copy = 0.0
-    for label in (1, 2, 3, 4):
-        psi = ens.state(label)
-        target = np.outer(psi, psi.conj())
-        worst_copy = max(worst_copy, float(np.abs(copies[label - 1] - target).max()))
-        assert abs(fids[label - 1] - 1.0) <= 1e-12
-    assert worst_copy <= 1e-12, f"copy deviation {worst_copy:.3e}"
-    report(f"[PASS] criterion 8: endpoint fidelity deviation {end_dev:.2e}, "
-           f"exact copy deviation {worst_copy:.2e}, both <= 1e-12")
+    reproduces each input density matrix entrywise, within 1e-12."""
+    worst = checks["perfect cloning at the endpoints"].deviation
+    assert worst <= 1e-12, f"endpoint deviation {worst:.3e}"
+    report(f"[PASS] criterion 8: endpoint fidelity and exact copy deviation "
+           f"{worst:.2e} <= 1e-12")
 
 
-def test_criterion_9_general_formula_consistency():
+def test_criterion_9_general_formula_consistency(checks):
     """At maximal overlaps the general fidelity matches the closed form for
     1000 random feasible inputs; overlaps below maximum never increase the
-    fidelity when all coefficients are positive."""
-    rng = np.random.default_rng(909)
-    maximal = OverlapSet.maximal()
-    worst_match = worst_gain = 0.0
-    for _ in range(1000):
-        t, u = rng.uniform(0.0, HALF_PI, size=2)
-        coeffs = ClonerCoefficients(
-            a=math.sin(t) * math.cos(u),
-            b=math.cos(t) / math.sqrt(2),
-            c=math.sin(t) * math.sin(u),
-        )
-        phi = float(rng.uniform(0.0, HALF_PI))
-        at_max = fidelity_general(coeffs, phi, maximal)
-        worst_match = max(
-            worst_match, abs(at_max - fidelity_closed_form(coeffs, phi))
-        )
-        if min(coeffs.as_tuple()) > 0.0:
-            sub = OverlapSet(*rng.uniform(-2.0, 2.0, size=2))
-            worst_gain = max(
-                worst_gain, fidelity_general(coeffs, phi, sub) - at_max
-            )
-    assert worst_match <= 1e-12, f"formula mismatch {worst_match:.3e}"
-    assert worst_gain <= 0.0, f"sub-maximal overlaps gained {worst_gain:.3e}"
-    report(f"[PASS] criterion 9: general formula mismatch {worst_match:.2e} <= 1e-12, "
-           f"max gain from sub-maximal overlaps {worst_gain:.2e} <= 0")
+    fidelity."""
+    match = checks["general formula at maximal overlaps"].deviation
+    gain = checks["overlaps below maximum never help"].deviation
+    assert match <= 1e-12, f"formula mismatch {match:.3e}"
+    assert gain == 0.0, f"sub-maximal overlaps gained {gain:.3e}"
+    report(f"[PASS] criterion 9: general formula mismatch {match:.2e} <= 1e-12, "
+           f"max gain from sub-maximal overlaps {gain:.2e} <= 0")
 
 
 def test_criterion_10_cli_reproducibility(capsys):

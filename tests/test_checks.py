@@ -1,7 +1,81 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
-from pairclone import checks
+from pairclone import checks, cloner, optimizer
 from pairclone.checks import run_checks
+
+EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
+
+
+def _dip_beside_quarter_pi(value, phi):
+    # a 1e-6 dip 1e-3 below pi/4, where F is within 1e-6 of its minimum
+    return value - EPS if abs(phi - (math.pi / 4 - 1e-3)) < 2e-4 else value
+
+
+# (module, function, perturbation of its result given its arguments, the
+# properties that must then fail); at least one from each of acceptance
+# criteria 2-9.  tests/test_cli.py covers a plain 1e-6 shift and a NaN in
+# optimizer.optimal_fidelity.
+MUTATIONS = [
+    pytest.param(
+        cloner, "clone_batch",
+        lambda out, *_: out._replace(
+            fidelities=out.fidelities * (1 + EPS * np.arange(out.fidelities.shape[1]))
+        ),
+        ["four fidelities equal", "simulation matches optimal fidelity"],
+        id="C2-clone_batch-fidelities",
+    ),
+    pytest.param(
+        cloner, "isometry_batch", lambda out, *_: out * (1 + EPS),
+        ["isometry columns orthonormal", "simulation matches optimal fidelity"],
+        id="C3-isometry_batch",
+    ),
+    pytest.param(
+        optimizer, "numeric_optimize",
+        lambda out, *_: dataclasses.replace(out, best_fidelity=out.best_fidelity + EPS),
+        ["oracle fidelity agreement"],
+        id="C4-numeric_optimize",
+    ),
+    pytest.param(
+        optimizer, "lagrange_residual", lambda out, *_: (out[0] + EPS, *out[1:]),
+        ["stationarity residuals"],
+        id="C5-lagrange_residual",
+    ),
+    pytest.param(
+        cloner, "shrinking_factors", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        ["channel Bloch contraction map", "shrinking factor identities"],
+        id="C6-shrinking_factors",
+    ),
+    pytest.param(
+        optimizer, "optimal_shrinking", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        ["shrinking factor identities", "shrinking reflection symmetry"],
+        id="C6-optimal_shrinking",
+    ),
+    pytest.param(
+        optimizer, "optimal_fidelity", _dip_beside_quarter_pi,
+        ["fidelity minimum at pi/4"],
+        id="C7-optimal_fidelity-dip",
+    ),
+    pytest.param(
+        cloner, "clone_batch", lambda out, *_: out._replace(copy1=out.copy1 * (1 + EPS)),
+        ["perfect cloning at the endpoints", "copy 1 equals copy 2"],
+        id="C8-clone_batch-copy1",
+    ),
+    pytest.param(
+        cloner, "fidelity_general", lambda out, *_: out * (1 + EPS),
+        ["general formula at maximal overlaps"],
+        id="C9-fidelity_general",
+    ),
+    pytest.param(
+        cloner, "fidelity_general",
+        lambda out, coeffs, phi, overlaps: out + EPS * (overlaps != cloner.OverlapSet.maximal()),
+        ["overlaps below maximum never help"],
+        id="C9-fidelity_general-submaximal",
+    ),
+]
 
 
 def test_small_grid_all_pass():
@@ -43,3 +117,14 @@ def test_grid_blocks_do_not_change_results(monkeypatch):
     monkeypatch.setattr(checks, "_BLOCK", 7)
     split = [r.line() for r in run_checks(grid=50, oracle_points=3, oracle_grid=64)]
     assert split == whole
+
+
+@pytest.mark.parametrize("module, function, perturb, failing", MUTATIONS)
+def test_each_pinned_property_can_fail(monkeypatch, module, function, perturb, failing):
+    original = getattr(module, function)
+    monkeypatch.setattr(
+        module, function, lambda *args, **kwargs: perturb(original(*args, **kwargs), *args)
+    )
+    results = {r.name: r for r in run_checks(grid=30, oracle_points=3, oracle_grid=64)}
+    for name in failing:
+        assert not results[name].passed, results[name].line()

@@ -12,13 +12,14 @@ from pairclone.cloner import (
     UnitarityError,
     apply_cloner,
     build_isometry,
+    clone_batch,
     copy_state,
     fidelity,
     fidelity_closed_form,
     fidelity_general,
     shrinking_factors,
 )
-from pairclone.ensemble import make_ensemble
+from pairclone.ensemble import family, make_ensemble
 from pairclone.linalg import KET_0, KET_1, bloch_from_density, density_from_bloch, tensor
 from pairclone.optimizer import optimal_coefficients
 
@@ -212,6 +213,36 @@ class TestGeneralFormula:
         overlaps = OverlapSet.from_ancilla(AncillaAssignment.default())
         assert overlaps.re_ab == 2.0
         assert overlaps.re_bc == 2.0
+
+    def test_rotated_b_ancillas_rejected(self):
+        # a valid isometry whose within-column overlaps the formula drops
+        x = 0.4
+        rotated = AncillaAssignment(
+            anc_a0=KET_0, anc_b0=np.array([math.sin(x), math.cos(x)]), anc_c0=KET_0,
+            anc_a1=KET_1, anc_b1=np.array([math.cos(x), -math.sin(x)]), anc_c1=KET_1,
+        )
+        build_isometry(optimal_coefficients(0.7), rotated)
+        with pytest.raises(ValueError, match=r"<anc_a0\|anc_b0>"):
+            OverlapSet.from_ancilla(rotated)
+
+    def test_formula_matches_kernel_on_its_domain(self):
+        # the default assignment up to a common unitary and a phase per ket
+        rng = np.random.default_rng(23)
+        default = AncillaAssignment.default()
+        names = ("anc_a0", "anc_b0", "anc_c0", "anc_a1", "anc_b1", "anc_c1")
+        for _ in range(200):
+            unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=6))
+            ancilla = AncillaAssignment(**{
+                name: phase * (unitary @ getattr(default, name))
+                for name, phase in zip(names, phases)
+            })
+            cc = coeffs_from_surface_angles(*rng.uniform(0, math.pi / 2, 2))
+            phi = float(rng.uniform(0, math.pi / 2))
+            states, _ = family([phi])
+            simulated = clone_batch(build_isometry(cc, ancilla)[None], states).fidelities
+            formula = fidelity_general(cc, phi, OverlapSet.from_ancilla(ancilla))
+            assert np.abs(simulated - formula).max() <= TOL
 
     def test_overlap_bounds_validated(self):
         with pytest.raises(ValueError, match="2"):

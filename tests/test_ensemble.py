@@ -4,34 +4,29 @@ import numpy as np
 import pytest
 
 from pairclone.ensemble import (
-    EnsembleAngle,
+    PAIRS,
     bloch_defects,
-    ensemble_bloch_consistency,
+    check_angle,
     family,
     make_ensemble,
     pair_overlaps,
-    pair_structure,
 )
-from pairclone.linalg import SIGMA_X
+from pairclone.linalg import SIGMA_X, bloch_from_density
 
 TOL = 1e-12
 
 
 def test_angle_bounds():
-    EnsembleAngle(0.0)
-    EnsembleAngle(math.pi / 2)
+    assert check_angle(0.0) == 0.0
+    assert check_angle(math.pi / 2) == math.pi / 2
     with pytest.raises(ValueError):
-        EnsembleAngle(-0.01)
+        check_angle(-0.01)
     with pytest.raises(ValueError):
-        EnsembleAngle(math.pi / 2 + 0.01)
+        check_angle(math.pi / 2 + 0.01)
     with pytest.raises(ValueError):
-        EnsembleAngle(math.nan)
-
-
-def test_alpha_beta_normalised():
-    for phi in np.linspace(0, math.pi / 2, 101):
-        angle = EnsembleAngle(float(phi))
-        assert abs(angle.alpha**2 + angle.beta**2 - 1.0) <= TOL
+        check_angle(math.nan)
+    with pytest.raises(ValueError):
+        make_ensemble(-0.01)
 
 
 def test_phi_zero_pairs_collapse():
@@ -77,7 +72,7 @@ def test_grid_invariants():
             assert abs(mx - ex) <= TOL and abs(mz - ez) <= TOL
         for i, j in ((1, 3), (2, 4)):
             assert abs(complex(np.vdot(ens.state(i), ens.state(j)))) <= TOL
-        assert ensemble_bloch_consistency(ens) <= TOL
+        assert np.max(bloch_defects(np.array([ens.states]), np.array([ens.bloch]))) <= TOL
 
 
 def test_relabel_symmetry():
@@ -90,14 +85,14 @@ def test_relabel_symmetry():
             assert abs(abs(complex(np.vdot(flipped, partner))) - 1.0) <= TOL
 
 
-def test_pair_structure():
-    result = pair_structure(make_ensemble(0.6))
-    assert result.pairs == ((1, 3), (2, 4))
-    assert not result.degenerate
-
-    at_zero = pair_structure(make_ensemble(0.0))
-    assert at_zero.pairs == ((1, 3), (2, 4))
-    assert at_zero.degenerate
+def test_orthogonal_pairs():
+    # the pairing is {1, 3} and {2, 4} at every angle, endpoints included
+    assert PAIRS == ((1, 3), (2, 4))
+    for phi, degenerate in ((0.6, False), (0.0, True)):
+        ens = make_ensemble(phi)
+        assert ens.phi == phi
+        assert ens.degenerate is degenerate
+        assert np.max(pair_overlaps(np.array([ens.states]))) <= TOL
 
 
 def test_batch_helpers_match_the_scalar_functions():
@@ -109,9 +104,13 @@ def test_batch_helpers_match_the_scalar_functions():
     assert np.max(overlaps) <= TOL
     for n, phi in enumerate(phis):
         ens = make_ensemble(float(phi))
-        for (i, j), overlap in zip(pair_structure(ens).pairs, overlaps[n]):
+        for (i, j), overlap in zip(PAIRS, overlaps[n]):
             assert abs(overlap - abs(np.vdot(ens.state(i), ens.state(j)))) <= 1e-16
-        assert ensemble_bloch_consistency(ens) == np.max(defects[n])
+        for label in (1, 2, 3, 4):
+            psi = ens.state(label)
+            recomputed = bloch_from_density(np.outer(psi, psi.conj()))
+            expected = np.abs(recomputed - ens.bloch_vector(label))
+            assert np.abs(defects[n, label - 1] - expected).max() <= 1e-16
     bloch[3, 1, 2] = math.nan
     assert math.isnan(np.max(bloch_defects(states, bloch)))
 

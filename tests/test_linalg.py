@@ -10,9 +10,7 @@ from pairclone.linalg import (
     SIGMA_X,
     SIGMA_Z,
     bloch_from_density,
-    check_density,
     density_from_bloch,
-    eigvals_hermitian_2x2,
     partial_trace,
     tensor,
 )
@@ -195,17 +193,8 @@ class TestBlochMaps:
     @settings(max_examples=100)
     def test_output_is_valid_density(self, m):
         rho = density_from_bloch(np.array(m))
-        check_density(rho, atol=1e-12)
-        low, high = eigvals_hermitian_2x2(rho)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        low, high = np.linalg.eigvalsh(rho)
         assert low >= -1e-12
         assert high <= 1.0 + 1e-12
-
-
-def test_eigvals_closed_form_matches_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        herm = (raw + raw.conj().T) / 2
-        ours = eigvals_hermitian_2x2(herm)
-        ref = np.linalg.eigvalsh(herm)
-        assert np.abs(np.array(ours) - ref).max() <= 1e-10

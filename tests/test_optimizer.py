@@ -11,7 +11,6 @@ from pairclone.optimizer import (
     optimal_coefficients,
     optimal_fidelity,
     optimal_shrinking,
-    optimal_solution,
     recover_multiplier,
 )
 
@@ -139,15 +138,6 @@ class TestStationarity:
             r1, r2, r3, _ = lagrange_residual(cc, lam, phi)
             assert max(abs(r1), abs(r2), abs(r3)) > 1e-3
             checked += 1
-
-
-class TestOptimalSolution:
-    def test_bundle_is_self_consistent(self):
-        sol = optimal_solution(1.2)
-        assert abs(sol.fidelity - optimal_fidelity(1.2)) <= TOL
-        assert (sol.eta_x, sol.eta_z) == shrinking_factors(sol.coeffs)
-        residuals = lagrange_residual(sol.coeffs, sol.multiplier, sol.phi)
-        assert max(abs(r) for r in residuals) < 1e-10
 
 
 class TestNumericOracle:
