@@ -18,6 +18,7 @@ from .checks import run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
 from .optimizer import (
+    MAX_GRID_DENSITY,
     MIN_GRID_DENSITY,
     numeric_optimize,
     optimal_coefficients,
@@ -76,8 +77,11 @@ def _tolerance_argument(text: str) -> float:
 
 
 def _check_oracle_grid(args, parser) -> None:
-    if args.oracle_grid < MIN_GRID_DENSITY:
-        parser.error(f"--oracle-grid must be at least {MIN_GRID_DENSITY}, got {args.oracle_grid}")
+    if not MIN_GRID_DENSITY <= args.oracle_grid <= MAX_GRID_DENSITY:
+        parser.error(
+            f"--oracle-grid must be between {MIN_GRID_DENSITY} and {MAX_GRID_DENSITY}, "
+            f"got {args.oracle_grid}"
+        )
 
 
 def _fmt(value: float) -> str:

@@ -1,11 +1,13 @@
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from pairclone import optimizer
+from pairclone import cli, optimizer
 from pairclone.cli import main, parse_angle
+from pairclone.optimizer import MAX_GRID_DENSITY
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +206,33 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_oracle_grid_upper_bound(capsys, monkeypatch, command):
+    # the oracle is stubbed, so neither grid below is ever allocated
+    grids = []
+    monkeypatch.setattr(
+        cli, "run_checks", lambda oracle_grid, **_: grids.append(oracle_grid) or []
+    )
+    monkeypatch.setattr(
+        cli,
+        "numeric_optimize",
+        lambda phi, grid_density: grids.append(grid_density) or SimpleNamespace(best_fidelity=1.0),
+    )
+    argv = [command, "--steps", "2"] + (["--with-oracle"] if command == "sweep" else [])
+
+    code, _, _ = run_cli(capsys, *argv, "--oracle-grid", str(MAX_GRID_DENSITY))
+    assert code == 0
+    assert grids and set(grids) == {MAX_GRID_DENSITY}
+
+    grids.clear()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--oracle-grid", str(MAX_GRID_DENSITY + 1)])
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert f"--oracle-grid must be between 64 and {MAX_GRID_DENSITY}" in message
+    assert grids == []
 
 
 def test_module_entry_point_runs():

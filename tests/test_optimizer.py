@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pairclone.cloner import fidelity_closed_form, shrinking_factors
+from pairclone import optimizer
+from pairclone.cloner import ClonerCoefficients, fidelity_closed_form, shrinking_factors
 from pairclone.optimizer import (
+    MAX_GRID_DENSITY,
+    ConvergenceError,
     NumericSearchReport,
     lagrange_residual,
     numeric_optimize,
@@ -172,7 +175,8 @@ class TestNumericOracle:
         report = numeric_optimize(0.9, grid_density=64)
         assert abs(report.best_coeffs.constraint_defect) <= 1e-10
         assert isinstance(report, NumericSearchReport)
-        assert report.evaluations >= 65 * 65
+        assert report.rounds >= 1
+        assert report.evaluations == report.rounds * 65 * 65
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="grid_density"):
@@ -181,3 +185,76 @@ class TestNumericOracle:
             numeric_optimize(0.5, refine_tolerance=0.0)
         with pytest.raises(ValueError):
             numeric_optimize(3.0)
+        with pytest.raises(ValueError, match="max_rounds"):
+            numeric_optimize(0.5, grid_density=64, max_rounds=0)
+
+    def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("numeric_optimize allocated before validating")
+
+        monkeypatch.setattr(optimizer.np, "empty", no_allocation)
+        with pytest.raises(ValueError, match="grid_density"):
+            numeric_optimize(0.5, grid_density=MAX_GRID_DENSITY + 1)
+
+    def test_no_convergence_reports_achieved_tolerance(self):
+        # one round leaves only the first, infinite improvement
+        with pytest.raises(ConvergenceError) as excinfo:
+            numeric_optimize(0.3, grid_density=64, max_rounds=1)
+        assert excinfo.value.achieved_tolerance == math.inf
+
+
+def _meshgrid_search(phi, grid_density):
+    """The oracle as first written: the objective evaluated on a full
+    meshgrid every round.  Reference for the separable evaluation."""
+    cos2 = math.cos(phi) ** 2
+    sin2 = math.sin(phi) ** 2
+    half_pi = math.pi / 2
+    t_lo, t_hi = 0.0, half_pi
+    u_lo, u_hi = 0.0, half_pi
+    best_f = -math.inf
+    best_t = best_u = 0.0
+    evaluations = 0
+    small_rounds = 0
+    for round_index in range(60):
+        ts = np.linspace(t_lo, t_hi, grid_density + 1)
+        us = np.linspace(u_lo, u_hi, grid_density + 1)
+        tt, uu = np.meshgrid(ts, us, indexing="ij")
+        aa = np.sin(tt) * np.cos(uu)
+        cc = np.sin(tt) * np.sin(uu)
+        bb = np.cos(tt) * math.sqrt(0.5)
+        ff = 0.5 + 0.5 * (aa * aa - cc * cc) * cos2 + bb * (aa + cc) * sin2
+        evaluations += ff.size
+        row, col = divmod(int(np.argmax(ff)), grid_density + 1)
+        round_best = float(ff[row, col])
+        if round_best > best_f:
+            improvement = round_best - best_f if math.isfinite(best_f) else math.inf
+            best_f, best_t, best_u = round_best, float(ts[row]), float(us[col])
+        else:
+            improvement = 0.0
+        if round_index > 0:
+            small_rounds = small_rounds + 1 if improvement < 1e-12 else 0
+            if small_rounds >= 3:
+                break
+        if max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
+            break
+        h_t = (t_hi - t_lo) / grid_density
+        h_u = (u_hi - u_lo) / grid_density
+        t_lo, t_hi = max(0.0, best_t - 4 * h_t), min(half_pi, best_t + 4 * h_t)
+        u_lo, u_hi = max(0.0, best_u - 4 * h_u), min(half_pi, best_u + 4 * h_u)
+    else:
+        raise AssertionError("reference search did not converge")
+    coeffs = ClonerCoefficients(
+        a=math.sin(best_t) * math.cos(best_u),
+        b=math.cos(best_t) * math.sqrt(0.5),
+        c=math.sin(best_t) * math.sin(best_u),
+    )
+    return NumericSearchReport(coeffs, best_f, evaluations, improvement, round_index + 1)
+
+
+@pytest.mark.parametrize("grid_density", [64, 128, 256])
+def test_separable_grid_is_bit_identical_to_meshgrid(grid_density):
+    seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 200)
+    for phi in [0.0, math.pi / 4, math.pi / 2, *map(float, seeded)]:
+        report = numeric_optimize(phi, grid_density=grid_density)
+        assert report == _meshgrid_search(phi, grid_density), phi
+        assert report.evaluations == report.rounds * (grid_density + 1) ** 2
