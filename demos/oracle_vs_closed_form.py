@@ -41,6 +41,6 @@ print()
 print("The search also reports its own convergence data:")
 report = numeric_optimize(math.pi / 4, grid_density=128)
 print(f"  at pi/4: {report.evaluations} evaluations, "
-      f"final improvement {report.achieved_tolerance:.1e}")
+      f"largest improvement of the last three rounds {report.achieved_tolerance:.1e}")
 print(f"  best coefficients: a = {report.best_coeffs.a:.9f}, "
       f"b = {report.best_coeffs.b:.9f}, c = {report.best_coeffs.c:.9f}")

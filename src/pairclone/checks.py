@@ -115,14 +115,11 @@ def _grid_deviations(phis) -> dict:
 def run_checks(
     grid: int = 1000,
     tolerance: float = 1e-10,
-    oracle_points: int = 25,
     oracle_grid: int = 256,
 ) -> list[CheckResult]:
     """Run every library invariant and return one result per property."""
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if oracle_points < 1:
-        raise ValueError("oracle_points must be at least 1")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     oracle_tolerance = tolerance * 100.0
@@ -223,7 +220,7 @@ def run_checks(
     )
 
     # --- independent grid-search oracle ------------------------------------
-    oracle_phis = np.linspace(0.0, _HALF_PI, oracle_points)
+    oracle_phis = np.linspace(0.0, _HALF_PI, 25)
     oracle_f, oracle_c = [], []
     for phi in oracle_phis:
         search = optimizer.numeric_optimize(phi, grid_density=oracle_grid)

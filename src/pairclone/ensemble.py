@@ -80,26 +80,10 @@ def family(phis) -> tuple[np.ndarray, np.ndarray]:
     """
     phis = np.asarray(phis, dtype=float)
     al, be = np.cos(phis / 2), np.sin(phis / 2)
-    states = np.stack(
-        [
-            np.stack([al, be], axis=-1),
-            np.stack([al, -be], axis=-1),
-            np.stack([be, -al], axis=-1),
-            np.stack([be, al], axis=-1),
-        ],
-        axis=1,
-    ).astype(complex)
+    states = np.stack([al, be, al, -be, be, -al, be, al], axis=-1)
     s, c, zero = np.sin(phis), np.cos(phis), np.zeros_like(phis)
-    bloch = np.stack(
-        [
-            np.stack([s, zero, c], axis=-1),
-            np.stack([-s, zero, c], axis=-1),
-            np.stack([-s, zero, -c], axis=-1),
-            np.stack([s, zero, -c], axis=-1),
-        ],
-        axis=1,
-    )
-    return states, bloch
+    bloch = np.stack([s, zero, c, -s, zero, c, -s, zero, -c, s, zero, -c], axis=-1)
+    return states.reshape(-1, 4, 2).astype(complex), bloch.reshape(-1, 4, 3)
 
 
 def make_ensemble(phi: float) -> FourStateEnsemble:

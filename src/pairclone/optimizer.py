@@ -30,9 +30,14 @@ _SQRT_HALF = math.sqrt(0.5)
 MIN_GRID_DENSITY = 64
 MAX_GRID_DENSITY = 2048
 
+# Refinement policy of :func:`numeric_optimize`.
+_REFINE_TOLERANCE = 1e-12
+_MAX_ROUNDS = 60
+
 
 class ConvergenceError(RuntimeError):
-    """Grid refinement stopped before reaching the requested tolerance."""
+    """Grid refinement hit its round cap before converging;
+    ``achieved_tolerance`` is as in :class:`NumericSearchReport`."""
 
     def __init__(self, message: str, achieved_tolerance: float):
         super().__init__(message)
@@ -45,6 +50,8 @@ class NumericSearchReport:
 
     ``rounds`` grids of (grid_density + 1)^2 nodes each were evaluated, so
     ``evaluations == rounds * (grid_density + 1) ** 2``.
+    ``achieved_tolerance`` is the largest improvement of the incumbent
+    fidelity over the final three rounds (inf while fewer than three ran).
     """
 
     best_coeffs: ClonerCoefficients
@@ -121,12 +128,36 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     return None
 
 
-def numeric_optimize(
-    phi: float,
-    grid_density: int = 128,
-    refine_tolerance: float = 1e-12,
-    max_rounds: int = 60,
-) -> NumericSearchReport:
+def _evaluate_grid(ts, us, cos2, sin2, buffers) -> np.ndarray:
+    """Objective at every node of the ``ts`` x ``us`` grid in the chart of
+    :func:`numeric_optimize`, written into ``buffers`` (four (n, n)
+    arrays, n = len(ts) = len(us)); returns the one holding the result.
+
+    The chart is separable, so sin/cos are taken on the two axes only and
+    broadcast.  The remaining arithmetic keeps the operation order of
+      f = 0.5 + 0.5 (a^2 - c^2) cos2 + b (a + c) sin2
+    (IEEE + and * are commutative, not associative), so every node is
+    bit-identical to evaluating the formula on a full meshgrid.
+    """
+    aa, cc, ff, tmp = buffers
+    sin_t = np.sin(ts)[:, None]
+    bb = (np.cos(ts) * _SQRT_HALF)[:, None]
+    np.multiply(sin_t, np.cos(us), out=aa)
+    np.multiply(sin_t, np.sin(us), out=cc)
+    np.multiply(aa, aa, out=ff)
+    np.multiply(cc, cc, out=tmp)
+    np.subtract(ff, tmp, out=ff)
+    np.multiply(ff, 0.5, out=ff)
+    np.multiply(ff, cos2, out=ff)
+    np.add(ff, 0.5, out=ff)
+    np.add(aa, cc, out=tmp)
+    np.multiply(tmp, bb, out=tmp)
+    np.multiply(tmp, sin2, out=tmp)
+    np.add(ff, tmp, out=ff)
+    return ff
+
+
+def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport:
     """Maximise the closed-form fidelity over the constraint surface by
     nested grid refinement, independently of the closed-form solution.
 
@@ -139,10 +170,12 @@ def numeric_optimize(
     search window to a few grid spacings around the incumbent best and
     re-centres there.  A single round can fail to improve just because
     window clipping moved the nodes, so refinement stops only after three
-    consecutive rounds improve by less than ``refine_tolerance`` (or the
-    window collapses below resolvable size).  Results are deterministic:
-    grids are fixed by (phi, grid_density) and ties resolve to the
-    smallest (t, u).
+    consecutive rounds improve by less than 1e-12 (or the window collapses
+    below resolvable size).  Each round shrinks the window to at most
+    8 / grid_density of its width, so the window collapses within 14
+    rounds at any accepted grid; the 60-round cap only guards the loop.
+    Results are deterministic: grids are fixed by (phi, grid_density) and
+    ties resolve to the smallest (t, u).
     """
     phi = check_angle(phi)
     grid_density = int(grid_density)
@@ -151,71 +184,35 @@ def numeric_optimize(
             f"grid_density must be between {MIN_GRID_DENSITY} and "
             f"{MAX_GRID_DENSITY}, got {grid_density}"
         )
-    refine_tolerance = float(refine_tolerance)
-    if not refine_tolerance > 0:
-        raise ValueError("refine_tolerance must be positive")
-    max_rounds = int(max_rounds)
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
 
     cos2 = math.cos(phi) ** 2
     sin2 = math.sin(phi) ** 2
     half_pi = math.pi / 2
-
-    # The chart is separable, so sin/cos are taken on the two axes only and
-    # broadcast.  The remaining arithmetic keeps the operation order of
-    #   f = 0.5 + 0.5 (a^2 - c^2) cos2 + b (a + c) sin2
-    # (IEEE + and * are commutative, not associative), so every node is
-    # bit-identical to evaluating the formula on a full meshgrid.
     n = grid_density + 1
-    aa, cc, ff, tmp = (np.empty((n, n)) for _ in range(4))
+    buffers = [np.empty((n, n)) for _ in range(4)]
 
     t_lo, t_hi = 0.0, half_pi
     u_lo, u_hi = 0.0, half_pi
     best_f = -math.inf
     best_t = best_u = 0.0
-    evaluations = 0
-    improvement = math.inf
-    small_rounds = 0
-    converged = False
+    improvements = []  # per round; the first is inf
 
-    for round_index in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         ts = np.linspace(t_lo, t_hi, n)
         us = np.linspace(u_lo, u_hi, n)
-        sin_t = np.sin(ts)[:, None]
-        bb = (np.cos(ts) * _SQRT_HALF)[:, None]
-        np.multiply(sin_t, np.cos(us), out=aa)
-        np.multiply(sin_t, np.sin(us), out=cc)
-        np.multiply(aa, aa, out=ff)
-        np.multiply(cc, cc, out=tmp)
-        np.subtract(ff, tmp, out=ff)
-        np.multiply(ff, 0.5, out=ff)
-        np.multiply(ff, cos2, out=ff)
-        np.add(ff, 0.5, out=ff)
-        np.add(aa, cc, out=tmp)
-        np.multiply(tmp, bb, out=tmp)
-        np.multiply(tmp, sin2, out=tmp)
-        np.add(ff, tmp, out=ff)
-        evaluations += ff.size
+        ff = _evaluate_grid(ts, us, cos2, sin2, buffers)
 
         flat_index = int(np.argmax(ff))  # first max = smallest (t, u)
         row, col = divmod(flat_index, n)
         round_best = float(ff[row, col])
+        improvements.append(max(round_best - best_f, 0.0))
         if round_best > best_f:
-            improvement = round_best - best_f if math.isfinite(best_f) else math.inf
             best_f = round_best
             best_t = float(ts[row])
             best_u = float(us[col])
-        else:
-            improvement = 0.0
 
-        if round_index > 0:
-            small_rounds = small_rounds + 1 if improvement < refine_tolerance else 0
-            if small_rounds >= 3:
-                converged = True
-                break
-        if max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
-            converged = True
+        achieved = max(improvements[-3:])
+        if achieved < _REFINE_TOLERANCE or max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
             break
 
         # Shrink to a window of +-4 grid spacings around the incumbent.
@@ -225,12 +222,11 @@ def numeric_optimize(
         t_hi = min(half_pi, best_t + 4 * h_t)
         u_lo = max(0.0, best_u - 4 * h_u)
         u_hi = min(half_pi, best_u + 4 * h_u)
-
-    if not converged:
+    else:
         raise ConvergenceError(
-            f"no convergence after {max_rounds} rounds; last improvement "
-            f"{improvement:.3e} (requested {refine_tolerance:.3e})",
-            achieved_tolerance=improvement,
+            f"no convergence after {_MAX_ROUNDS} rounds; largest improvement "
+            f"of the last three {achieved:.3e} (requested < {_REFINE_TOLERANCE:.0e})",
+            achieved_tolerance=achieved,
         )
 
     coeffs = ClonerCoefficients(
@@ -241,7 +237,7 @@ def numeric_optimize(
     return NumericSearchReport(
         best_coeffs=coeffs,
         best_fidelity=best_f,
-        evaluations=evaluations,
-        achieved_tolerance=improvement,
-        rounds=round_index + 1,
+        evaluations=len(improvements) * n * n,
+        achieved_tolerance=achieved,
+        rounds=len(improvements),
     )

@@ -189,17 +189,6 @@ class TestGeneralFormula:
         value = fidelity_general(cc, phi, OverlapSet(re_ab=0.0, re_bc=0.0))
         assert abs(value - expected) <= TOL
 
-    def test_maximal_overlaps_match_closed_form(self):
-        rng = np.random.default_rng(21)
-        maximal = OverlapSet.maximal()
-        for _ in range(200):
-            t, u = rng.uniform(0, math.pi / 2, 2)
-            cc = coeffs_from_surface_angles(t, u)
-            phi = float(rng.uniform(0, math.pi / 2))
-            assert abs(
-                fidelity_general(cc, phi, maximal) - fidelity_closed_form(cc, phi)
-            ) <= TOL
-
     def test_maximal_overlaps_match_simulation(self):
         rng = np.random.default_rng(22)
         maximal = OverlapSet.maximal()

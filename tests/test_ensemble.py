@@ -115,6 +115,24 @@ def test_batch_helpers_match_the_scalar_functions():
     assert math.isnan(np.max(bloch_defects(states, bloch)))
 
 
+def test_family_is_the_docstring_tables_byte_for_byte():
+    rng = np.random.default_rng(5)
+    phis = np.concatenate([[0.0, math.pi / 4, math.pi / 2], rng.uniform(0, math.pi / 2, 200)])
+    al, be = np.cos(phis / 2), np.sin(phis / 2)
+    s, c = np.sin(phis), np.cos(phis)
+    states = np.empty((len(phis), 4, 2), dtype=complex)
+    bloch = np.zeros((len(phis), 4, 3))
+    table = [((al, be), (s, c)), ((al, -be), (-s, c)), ((be, -al), (-s, -c)), ((be, al), (s, -c))]
+    for k, ((up, down), (x, z)) in enumerate(table):  # psi_k+1 and m_k+1
+        states[:, k, 0], states[:, k, 1] = up, down
+        bloch[:, k, 0], bloch[:, k, 2] = x, z
+    got_states, got_bloch = family(phis)
+    assert (got_states.shape, got_states.dtype) == (states.shape, states.dtype)
+    assert (got_bloch.shape, got_bloch.dtype) == (bloch.shape, bloch.dtype)
+    assert got_states.tobytes() == states.tobytes()
+    assert got_bloch.tobytes() == bloch.tobytes()
+
+
 def test_states_are_read_only():
     ens = make_ensemble(0.5)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairclone import optimizer
-from pairclone.cloner import ClonerCoefficients, fidelity_closed_form, shrinking_factors
+from pairclone.cloner import fidelity_closed_form
 from pairclone.optimizer import (
     MAX_GRID_DENSITY,
     ConvergenceError,
@@ -44,10 +44,6 @@ class TestClosedFormOptimum:
         for value, expected in zip(cc.as_tuple(), COEFFS_QUARTER_PI):
             assert abs(value - expected) <= TOL
 
-    def test_constraint_on_grid(self):
-        for phi in np.linspace(0, math.pi / 2, 1000):
-            assert abs(optimal_coefficients(float(phi)).constraint_defect) <= TOL
-
     def test_fidelity_endpoints_and_special_points(self):
         assert abs(optimal_fidelity(0.0) - 1.0) <= TOL
         assert abs(optimal_fidelity(math.pi / 2) - 1.0) <= TOL
@@ -75,27 +71,7 @@ class TestShrinking:
     def test_endpoint(self):
         assert optimal_shrinking(0.0) == (0.0, 1.0)
 
-    def test_identities_on_grid(self):
-        for phi in np.linspace(0, math.pi / 2, 200):
-            phi = float(phi)
-            eta_x, eta_z = optimal_shrinking(phi)
-            assert abs(eta_x**2 + eta_z**2 - 1.0) <= TOL
-            assert abs(eta_x - optimal_shrinking(math.pi / 2 - phi)[1]) <= TOL
-            from_coeffs = shrinking_factors(optimal_coefficients(phi))
-            assert abs(eta_x - from_coeffs[0]) <= TOL
-            assert abs(eta_z - from_coeffs[1]) <= TOL
-
-
 class TestStationarity:
-    def test_closed_form_solution_is_stationary(self):
-        for phi in np.linspace(0, math.pi / 2, 100):
-            phi = float(phi)
-            cc = optimal_coefficients(phi)
-            lam = recover_multiplier(cc, phi)
-            assert lam is not None
-            residuals = lagrange_residual(cc, lam, phi)
-            assert max(abs(r) for r in residuals) < 1e-10
-
     def test_recovered_multiplier_closed_form(self):
         # at the optimum the multiplier equals sqrt(sin^4 + cos^4) / 2,
         # i.e. the optimal fidelity minus 1/2
@@ -181,12 +157,8 @@ class TestNumericOracle:
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=32)
-        with pytest.raises(ValueError, match="refine_tolerance"):
-            numeric_optimize(0.5, refine_tolerance=0.0)
         with pytest.raises(ValueError):
             numeric_optimize(3.0)
-        with pytest.raises(ValueError, match="max_rounds"):
-            numeric_optimize(0.5, grid_density=64, max_rounds=0)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -196,65 +168,45 @@ class TestNumericOracle:
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=MAX_GRID_DENSITY + 1)
 
-    def test_no_convergence_reports_achieved_tolerance(self):
+    def test_no_convergence_reports_achieved_tolerance(self, monkeypatch):
         # one round leaves only the first, infinite improvement
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
         with pytest.raises(ConvergenceError) as excinfo:
-            numeric_optimize(0.3, grid_density=64, max_rounds=1)
+            numeric_optimize(0.3, grid_density=64)
         assert excinfo.value.achieved_tolerance == math.inf
 
-
-def _meshgrid_search(phi, grid_density):
-    """The oracle as first written: the objective evaluated on a full
-    meshgrid every round.  Reference for the separable evaluation."""
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
-    half_pi = math.pi / 2
-    t_lo, t_hi = 0.0, half_pi
-    u_lo, u_hi = 0.0, half_pi
-    best_f = -math.inf
-    best_t = best_u = 0.0
-    evaluations = 0
-    small_rounds = 0
-    for round_index in range(60):
-        ts = np.linspace(t_lo, t_hi, grid_density + 1)
-        us = np.linspace(u_lo, u_hi, grid_density + 1)
-        tt, uu = np.meshgrid(ts, us, indexing="ij")
-        aa = np.sin(tt) * np.cos(uu)
-        cc = np.sin(tt) * np.sin(uu)
-        bb = np.cos(tt) * math.sqrt(0.5)
-        ff = 0.5 + 0.5 * (aa * aa - cc * cc) * cos2 + bb * (aa + cc) * sin2
-        evaluations += ff.size
-        row, col = divmod(int(np.argmax(ff)), grid_density + 1)
-        round_best = float(ff[row, col])
-        if round_best > best_f:
-            improvement = round_best - best_f if math.isfinite(best_f) else math.inf
-            best_f, best_t, best_u = round_best, float(ts[row]), float(us[col])
-        else:
-            improvement = 0.0
-        if round_index > 0:
-            small_rounds = small_rounds + 1 if improvement < 1e-12 else 0
-            if small_rounds >= 3:
-                break
-        if max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
-            break
-        h_t = (t_hi - t_lo) / grid_density
-        h_u = (u_hi - u_lo) / grid_density
-        t_lo, t_hi = max(0.0, best_t - 4 * h_t), min(half_pi, best_t + 4 * h_t)
-        u_lo, u_hi = max(0.0, best_u - 4 * h_u), min(half_pi, best_u + 4 * h_u)
-    else:
-        raise AssertionError("reference search did not converge")
-    coeffs = ClonerCoefficients(
-        a=math.sin(best_t) * math.cos(best_u),
-        b=math.cos(best_t) * math.sqrt(0.5),
-        c=math.sin(best_t) * math.sin(best_u),
-    )
-    return NumericSearchReport(coeffs, best_f, evaluations, improvement, round_index + 1)
+    def test_achieved_tolerance_is_last_three_rounds(self):
+        # an exact grid node is the optimum only at the endpoints; inside,
+        # the final rounds still gain below the 1e-12 stopping tolerance
+        for phi in np.linspace(0, math.pi / 2, 25)[1:-1]:
+            report = numeric_optimize(float(phi), grid_density=256)
+            assert 0.0 < report.achieved_tolerance < 1e-12, phi
 
 
 @pytest.mark.parametrize("grid_density", [64, 128, 256])
-def test_separable_grid_is_bit_identical_to_meshgrid(grid_density):
-    seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 200)
+def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
+    """Every round's nodes, on every window real searches visit, equal the
+    objective evaluated on a full meshgrid, byte for byte."""
+    evaluate_grid = optimizer._evaluate_grid
+    windows = []
+
+    def against_meshgrid(ts, us, cos2, sin2, buffers):
+        ff = evaluate_grid(ts, us, cos2, sin2, buffers)
+        tt, uu = np.meshgrid(ts, us, indexing="ij")
+        sin_tt = np.sin(tt)
+        aa = sin_tt * np.cos(uu)
+        cc = sin_tt * np.sin(uu)
+        bb = np.cos(tt) * math.sqrt(0.5)
+        reference = 0.5 + 0.5 * (aa * aa - cc * cc) * cos2 + bb * (aa + cc) * sin2
+        windows.append((ts[0], ts[-1], us[0], us[-1]))
+        assert ff.tobytes() == reference.tobytes(), windows[-1]
+        return ff
+
+    monkeypatch.setattr(optimizer, "_evaluate_grid", against_meshgrid)
+    seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 20)
+    rounds = 0
     for phi in [0.0, math.pi / 4, math.pi / 2, *map(float, seeded)]:
         report = numeric_optimize(phi, grid_density=grid_density)
-        assert report == _meshgrid_search(phi, grid_density), phi
         assert report.evaluations == report.rounds * (grid_density + 1) ** 2
+        rounds += report.rounds
+    assert len(windows) == rounds
