@@ -84,21 +84,19 @@ def _grid_deviations(phis) -> dict:
     }
 
     # --- optimum: constraint, isometry, fidelities, shrinking ------------
-    coeffs = [optimizer.optimal_coefficients(phi) for phi in phis]
-    isometries = cloner.isometry_batch([cc.as_tuple() for cc in coeffs])
+    a, b, c = coeffs = optimizer.optimal_coefficients_batch(phis)
+    isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
     gram = isometries.conj().transpose(0, 2, 1) @ isometries
-    f_opt = np.array([optimizer.optimal_fidelity(phi) for phi in phis])
-    f_closed = np.array([cloner.fidelity_closed_form(cc, phi) for cc, phi in zip(coeffs, phis)])
-    eta = np.array([optimizer.optimal_shrinking(phi) for phi in phis])
-    mirrored = np.array([optimizer.optimal_shrinking(_HALF_PI - phi)[1] for phi in phis])
-    formula = np.array([cloner.shrinking_factors(cc) for cc in coeffs])
-    residuals = np.array([
-        optimizer.lagrange_residual(cc, optimizer.recover_multiplier(cc, phi), phi)
-        for cc, phi in zip(coeffs, phis)
-    ])
+    f_opt = optimizer.optimal_fidelity_batch(phis)
+    f_closed = cloner.fidelity_closed_form_batch(coeffs, phis)
+    eta = np.column_stack(optimizer.optimal_shrinking_batch(phis))
+    _, mirrored = optimizer.optimal_shrinking_batch(_HALF_PI - phis)
+    formula = np.column_stack(cloner.shrinking_factors_batch(coeffs))
+    multipliers = optimizer.recover_multiplier_batch(coeffs, phis)
+    residuals = np.column_stack(optimizer.lagrange_residual_batch(coeffs, multipliers, phis))
     deviations.update({
-        "optimal coefficient constraint": np.array([abs(cc.constraint_defect) for cc in coeffs]),
+        "optimal coefficient constraint": np.abs(a * a + 2 * b * b + c * c - 1.0),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
         "four fidelities equal": np.max(fids, axis=1) - np.min(fids, axis=1),
         "simulation matches optimal fidelity": np.abs(fids - f_opt[:, None]),
@@ -137,13 +135,11 @@ def run_checks(
 
     # --- copy symmetry and channel geometry on random states -------------
     channel_phis = np.linspace(0.0, _HALF_PI, 25)
-    channel_coeffs = [optimizer.optimal_coefficients(phi) for phi in channel_phis]
+    channel_coeffs = optimizer.optimal_coefficients_batch(channel_phis)
     thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 100))
     kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
-    copies = cloner.clone_batch(
-        cloner.isometry_batch([cc.as_tuple() for cc in channel_coeffs]), kets
-    )
-    eta_x, eta_z = np.array([cloner.shrinking_factors(cc) for cc in channel_coeffs]).T
+    copies = cloner.clone_batch(cloner.isometry_batch(np.column_stack(channel_coeffs)), kets)
+    eta_x, eta_z = cloner.shrinking_factors_batch(channel_coeffs)
     m_expected = np.stack(
         [eta_x[:, None] * np.sin(thetas), np.zeros_like(thetas), eta_z[:, None] * np.cos(thetas)],
         axis=-1,
@@ -193,11 +189,12 @@ def run_checks(
     results.append(_worst("Bloch round trip", roundtrip, tolerance, at_sample))
 
     # --- perfect-cloning endpoints ----------------------------------------
-    ends = (0.0, _HALF_PI)
-    perfect = [abs(optimizer.optimal_fidelity(phi) - 1.0) for phi in ends]
-    states, _ = ensemble.family([0.0])
+    ends = np.array([0.0, _HALF_PI])
+    perfect = list(np.abs(optimizer.optimal_fidelity_batch(ends) - 1.0))
+    states, _ = ensemble.family(ends[:1])
     at_zero = cloner.clone_batch(
-        cloner.isometry_batch([optimizer.optimal_coefficients(0.0).as_tuple()]), states
+        cloner.isometry_batch(np.column_stack(optimizer.optimal_coefficients_batch(ends[:1]))),
+        states,
     )
     projectors = states[..., :, None] * states[..., None, :].conj()
     perfect.append(np.max(np.abs(at_zero.copy1 - projectors)))
@@ -207,7 +204,7 @@ def run_checks(
 
     # --- worst case sits at the centre of the range ------------------------
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
-    values = np.array([optimizer.optimal_fidelity(phi) for phi in fine])
+    values = optimizer.optimal_fidelity_batch(fine)
     argmin = int(np.argmin(values))
     step = fine[1] - fine[0]
     results.append(
@@ -221,15 +218,11 @@ def run_checks(
 
     # --- independent grid-search oracle ------------------------------------
     oracle_phis = np.linspace(0.0, _HALF_PI, 25)
-    oracle_f, oracle_c = [], []
-    for phi in oracle_phis:
-        search = optimizer.numeric_optimize(phi, grid_density=oracle_grid)
-        oracle_f.append(abs(search.best_fidelity - optimizer.optimal_fidelity(phi)))
-        closed = optimizer.optimal_coefficients(phi)
-        found = search.best_coeffs
-        oracle_c.append(
-            max(abs(found.a - closed.a), abs(found.b - closed.b), abs(found.c - closed.c))
-        )
+    closed_f = optimizer.optimal_fidelity_batch(oracle_phis)
+    closed_c = np.column_stack(optimizer.optimal_coefficients_batch(oracle_phis))
+    searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in oracle_phis]
+    oracle_f = np.abs([search.best_fidelity for search in searches] - closed_f)
+    oracle_c = np.abs([search.best_coeffs.as_tuple() for search in searches] - closed_c)
     at_oracle = _at_phi(oracle_phis)
     results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_oracle))
     results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_oracle))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import check_angle
+from .ensemble import angle_terms, check_angle
 from .linalg import (
     ATOL_INPUT,
     KET_0,
@@ -252,10 +252,16 @@ def fidelity_closed_form(coeffs: ClonerCoefficients, phi: float) -> float:
 
         F = 1/2 + (a^2 - c^2) cos^2(phi) / 2 + b (a + c) sin^2(phi)
     """
-    phi = check_angle(phi)
-    a, b, c = coeffs.as_tuple()
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
+    return fidelity_closed_form_batch(coeffs.as_tuple(), phi)
+
+
+def fidelity_closed_form_batch(coeffs, phis):
+    """:func:`fidelity_closed_form` for coefficients (a, b, c), three
+    floats or three (N,) arrays, at one angle or an (N,) array of angles.
+    It validates the angles (:func:`ensemble.angle_terms`), not the
+    coefficients."""
+    a, b, c = coeffs
+    sin2, cos2, _ = angle_terms(phis)
     return 0.5 + 0.5 * (a * a - c * c) * cos2 + b * (a + c) * sin2
 
 
@@ -291,7 +297,13 @@ def shrinking_factors(coeffs: ClonerCoefficients) -> tuple[float, float]:
     copy has Bloch vector (eta_x m_x, 0, eta_z m_z); both factors refer to
     the default ancilla assignment.
     """
-    a, b, c = coeffs.as_tuple()
+    return shrinking_factors_batch(coeffs.as_tuple())
+
+
+def shrinking_factors_batch(coeffs):
+    """:func:`shrinking_factors` for coefficients (a, b, c), three floats
+    or three (N,) arrays; it validates nothing."""
+    a, b, c = coeffs
     return 2 * b * (a + c), a * a - c * c
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,6 +46,40 @@ def check_angle(phi: float) -> float:
     if phi < PHI_MIN or phi > PHI_MAX:
         raise ValueError(f"angle {phi} outside [0, pi/2]")
     return phi
+
+
+def angle_terms(phis):
+    """(sin^2 phi, cos^2 phi, sqrt(sin^4 phi + cos^4 phi)): three floats
+    for one angle (a number or a 0-d array), or three arrays of shape (N,)
+    for an (N,) array.
+
+    Every closed form in phi (the optimum, its fidelity and shrinking
+    factors, the stationarity equations and the closed-form fidelity)
+    starts from these and goes on with + - * / alone, so one body serves
+    a float and an array with the same bits.
+    Two rules keep it so.  Each sine, cosine and power is taken element by
+    element with ``math.sin``, ``math.cos`` and Python's float ``**``
+    (``pow``): numpy's ``x ** 2`` and ``x ** 4`` differ from Python's in
+    the last bit at some angles, and ``np.sin``/``np.cos`` depend on
+    numpy's SIMD dispatch.  Only the correctly rounded sum and square root
+    are vectorised.  This is the one place that tells a float from an
+    array, and it validates both: one angle with :func:`check_angle`, an
+    array with one vectorised range check (NaN fails it).
+    """
+    if not isinstance(phis, np.ndarray) or phis.ndim == 0:
+        phi = check_angle(phis)
+        sin, cos = math.sin(phi), math.cos(phi)
+        return sin ** 2, cos ** 2, math.sqrt(sin ** 4 + cos ** 4)
+    inside = (phis >= PHI_MIN) & (phis <= PHI_MAX)
+    if phis.ndim != 1 or not inside.all():
+        raise ValueError("angles must be an (N,) array of values in [0, pi/2]")
+    values = phis.tolist()
+    sins, coss = list(map(math.sin, values)), list(map(math.cos, values))
+
+    def powers(bases, exponent):
+        return np.fromiter(map(pow, bases, repeat(exponent)), float, len(values))
+
+    return powers(sins, 2), powers(coss, 2), np.sqrt(powers(sins, 4) + powers(coss, 4))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import ClonerCoefficients
-from .ensemble import check_angle
+from .ensemble import angle_terms, check_angle
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -61,28 +61,36 @@ class NumericSearchReport:
     rounds: int
 
 
-def _shape_factor(phi: float) -> float:
-    # sin^4 + cos^4 >= 1/2 on the whole domain, so never singular
-    return 1.0 / math.sqrt(math.sin(phi) ** 4 + math.cos(phi) ** 4)
+# Each closed form has one body, ``*_batch``, that takes one angle or an
+# (N,) array of angles (and coefficients as floats a, b, c or as three (N,)
+# arrays) and returns the same kind; :func:`ensemble.angle_terms` says why
+# both give the same bits.  The scalar functions are its N = 1 wrappers.
+# Only recover_multiplier keeps a scalar body of its own, because its
+# branches select per element in the array form.
 
 
 def optimal_coefficients(phi: float) -> ClonerCoefficients:
     """Fidelity-maximising coefficients at angle ``phi``."""
-    phi = check_angle(phi)
-    k = _shape_factor(phi)
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
-    return ClonerCoefficients(
-        a=0.5 * (1.0 + cos2 * k),
-        b=0.5 * sin2 * k,
-        c=0.5 * (1.0 - cos2 * k),
-    )
+    return ClonerCoefficients(*optimal_coefficients_batch(phi))
+
+
+def optimal_coefficients_batch(phis):
+    """Coefficients (a, b, c) of :func:`optimal_coefficients` at each angle
+    of ``phis``: three (N,) arrays, or three floats for one angle."""
+    sin2, cos2, root = angle_terms(phis)
+    k = 1.0 / root  # root >= 1/sqrt(2) on the whole domain, so never singular
+    return 0.5 * (1.0 + cos2 * k), 0.5 * sin2 * k, 0.5 * (1.0 - cos2 * k)
 
 
 def optimal_fidelity(phi: float) -> float:
     """Maximum achievable copy fidelity at angle ``phi``."""
-    phi = check_angle(phi)
-    return 0.5 * (1.0 + math.sqrt(math.sin(phi) ** 4 + math.cos(phi) ** 4))
+    return optimal_fidelity_batch(phi)
+
+
+def optimal_fidelity_batch(phis):
+    """:func:`optimal_fidelity` at each angle of ``phis``."""
+    _, _, root = angle_terms(phis)
+    return 0.5 * (1.0 + root)
 
 
 def optimal_shrinking(phi: float) -> tuple[float, float]:
@@ -90,9 +98,14 @@ def optimal_shrinking(phi: float) -> tuple[float, float]:
 
     They satisfy eta_x^2 + eta_z^2 = 1 and eta_x(phi) = eta_z(pi/2 - phi).
     """
-    phi = check_angle(phi)
-    k = _shape_factor(phi)
-    return math.sin(phi) ** 2 * k, math.cos(phi) ** 2 * k
+    return optimal_shrinking_batch(phi)
+
+
+def optimal_shrinking_batch(phis):
+    """(eta_x, eta_z) of :func:`optimal_shrinking` at each angle of ``phis``."""
+    sin2, cos2, root = angle_terms(phis)
+    k = 1.0 / root
+    return sin2 * k, cos2 * k
 
 
 def lagrange_residual(
@@ -101,11 +114,16 @@ def lagrange_residual(
     """Residuals of the four stationarity equations of the constrained
     maximisation.  All four vanish at the closed-form optimum with the
     matching multiplier."""
-    phi = check_angle(phi)
-    a, b, c = coeffs.as_tuple()
-    lam = float(multiplier)
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
+    return lagrange_residual_batch(coeffs.as_tuple(), float(multiplier), phi)
+
+
+def lagrange_residual_batch(coeffs, multipliers, phis):
+    """The four residuals of :func:`lagrange_residual` for coefficients
+    (a, b, c) and multipliers at each angle of ``phis``.  It validates the
+    angles, not the coefficients."""
+    a, b, c = coeffs
+    lam = multipliers
+    sin2, cos2, _ = angle_terms(phis)
     r1 = a * cos2 + b * sin2 - 2 * a * lam
     r2 = (a + c) * sin2 - 4 * b * lam
     r3 = -c * cos2 + b * sin2 - 2 * c * lam
@@ -117,15 +135,27 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     """Multiplier implied by the first stationarity equation (or the third
     when a vanishes).  Returns None when both a and c are zero, in which
     case no multiplier can be recovered and residual checks are skipped."""
-    phi = check_angle(phi)
     a, b, c = coeffs.as_tuple()
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
+    sin2, cos2, _ = angle_terms(phi)
     if a > 1e-9:
         return (a * cos2 + b * sin2) / (2 * a)
     if c > 1e-9:
         return (-c * cos2 + b * sin2) / (2 * c)
     return None
+
+
+def recover_multiplier_batch(coeffs, phis) -> np.ndarray:
+    """:func:`recover_multiplier` for coefficient arrays (a, b, c) at an
+    (N,) array of angles, with NaN where a and c both vanish.  Each
+    equation is divided only where it is used, so nothing divides by zero.
+    It validates the angles, not the coefficients."""
+    a, b, c = coeffs
+    sin2, cos2, _ = angle_terms(phis)
+    lam = np.full(len(phis), math.nan)
+    from_a = a > 1e-9
+    np.divide(a * cos2 + b * sin2, 2 * a, out=lam, where=from_a)
+    np.divide(-c * cos2 + b * sin2, 2 * c, out=lam, where=~from_a & (c > 1e-9))
+    return lam
 
 
 def _evaluate_grid(ts, us, cos2, sin2, buffers) -> np.ndarray:

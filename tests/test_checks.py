@@ -10,15 +10,16 @@ from pairclone.checks import run_checks
 EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
 
 
-def _dip_beside_quarter_pi(value, phi):
+def _dip_beside_quarter_pi(values, phis):
     # a 1e-6 dip 1e-3 below pi/4, where F is within 1e-6 of its minimum
-    return value - EPS if abs(phi - (math.pi / 4 - 1e-3)) < 2e-4 else value
+    return values - EPS * (np.abs(phis - (math.pi / 4 - 1e-3)) < 2e-4)
 
 
 # (module, function, perturbation of its result given its arguments, the
 # properties that must then fail); at least one from each of acceptance
-# criteria 2-9.  tests/test_cli.py covers a plain 1e-6 shift and a NaN in
-# optimizer.optimal_fidelity.
+# criteria 2-9.  Each closed form is perturbed in the array function verify
+# calls; the id names the closed form.  tests/test_cli.py covers a plain
+# 1e-6 shift and a NaN in optimizer.optimal_fidelity_batch.
 MUTATIONS = [
     pytest.param(
         cloner, "clone_batch",
@@ -40,22 +41,22 @@ MUTATIONS = [
         id="C4-numeric_optimize",
     ),
     pytest.param(
-        optimizer, "lagrange_residual", lambda out, *_: (out[0] + EPS, *out[1:]),
+        optimizer, "lagrange_residual_batch", lambda out, *_: (out[0] + EPS, *out[1:]),
         ["stationarity residuals"],
         id="C5-lagrange_residual",
     ),
     pytest.param(
-        cloner, "shrinking_factors", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        cloner, "shrinking_factors_batch", lambda out, *_: (out[0] * (1 + EPS), out[1]),
         ["channel Bloch contraction map", "shrinking factor identities"],
         id="C6-shrinking_factors",
     ),
     pytest.param(
-        optimizer, "optimal_shrinking", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        optimizer, "optimal_shrinking_batch", lambda out, *_: (out[0] * (1 + EPS), out[1]),
         ["shrinking factor identities", "shrinking reflection symmetry"],
         id="C6-optimal_shrinking",
     ),
     pytest.param(
-        optimizer, "optimal_fidelity", _dip_beside_quarter_pi,
+        optimizer, "optimal_fidelity_batch", _dip_beside_quarter_pi,
         ["fidelity minimum at pi/4"],
         id="C7-optimal_fidelity-dip",
     ),

@@ -3,11 +3,18 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pairclone import cli, optimizer
-from pairclone.cli import main, parse_angle
-from pairclone.optimizer import MAX_GRID_DENSITY
+from pairclone.cli import MAX_STEPS, main, parse_angle
+from pairclone.optimizer import (
+    MAX_GRID_DENSITY,
+    numeric_optimize,
+    optimal_coefficients,
+    optimal_fidelity,
+    optimal_shrinking,
+)
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +124,30 @@ class TestSweep:
         assert "cannot write" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--steps", str(cli._SWEEP_BLOCK + 1)],
+            ["--phi-min", "0.0123", "--phi-max", "1.5", "--steps", "20000"],
+            ["--steps", "5", "--with-oracle", "--oracle-grid", "64"],
+        ],
+        ids=["one-row-past-a-block", "sub-range", "oracle"],
+    )
+    def test_text_equals_per_row_scalar_loop(self, capsys, argv):
+        args = cli._build_parser().parse_args(["sweep", *argv])
+        lines = ["phi,fidelity_opt,eta_x,eta_z,a,b,c" + (",numeric_fidelity" if args.with_oracle else "")]
+        for phi in np.linspace(args.phi_min, args.phi_max, args.steps):
+            phi = float(phi)
+            coeffs = optimal_coefficients(phi)
+            fields = [phi, optimal_fidelity(phi), *optimal_shrinking(phi), *coeffs.as_tuple()]
+            if args.with_oracle:
+                fields.append(numeric_optimize(phi, grid_density=args.oracle_grid).best_fidelity)
+            lines.append(",".join(f"{value:.12g}" for value in fields))
+        code, out, _ = run_cli(capsys, "sweep", *argv)
+        assert code == 0
+        assert out == "\n".join(lines) + "\n"
+
+
 class TestClone:
     def test_quarter_pi_report(self, capsys):
         code, out, _ = run_cli(capsys, "clone", "pi/4")
@@ -195,14 +226,16 @@ class TestVerify:
         assert "--oracle-grid" in capsys.readouterr().err
 
     def test_nan_deviation_fails_closed(self, capsys, monkeypatch):
-        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phi: math.nan)
+        monkeypatch.setattr(
+            optimizer, "optimal_fidelity_batch", lambda phis: np.full(len(phis), math.nan)
+        )
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
 
     def test_perturbed_closed_form_fails(self, capsys, monkeypatch):
-        exact = optimizer.optimal_fidelity
-        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phi: exact(phi) + 1e-6)
+        exact = optimizer.optimal_fidelity_batch
+        monkeypatch.setattr(optimizer, "optimal_fidelity_batch", lambda phis: exact(phis) + 1e-6)
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
@@ -233,6 +266,29 @@ def test_oracle_grid_upper_bound(capsys, monkeypatch, command):
     message = capsys.readouterr().err.splitlines()[-1]
     assert f"--oracle-grid must be between 64 and {MAX_GRID_DENSITY}" in message
     assert grids == []
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_steps_upper_bound(capsys, monkeypatch, command):
+    # run_checks and linspace are stubbed, so no grid of the cap's size is built
+    sizes = []
+    monkeypatch.setattr(cli, "run_checks", lambda grid, **_: sizes.append(grid) or [])
+    linspace = np.linspace
+    monkeypatch.setattr(
+        cli.np, "linspace", lambda lo, hi, num: sizes.append(num) or linspace(lo, hi, 2)
+    )
+
+    code, _, _ = run_cli(capsys, command, "--steps", str(MAX_STEPS))
+    assert code == 0
+    assert sizes == [MAX_STEPS]
+
+    sizes.clear()
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--steps", str(MAX_STEPS + 1)])
+    assert excinfo.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert f"--steps must be between 2 and {MAX_STEPS}, got {MAX_STEPS + 1}" in message
+    assert sizes == []
 
 
 def test_module_entry_point_runs():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pairclone import optimizer
-from pairclone.cloner import fidelity_closed_form
+from pairclone import cloner, optimizer
+from pairclone.cloner import ClonerCoefficients, fidelity_closed_form
 from pairclone.optimizer import (
     MAX_GRID_DENSITY,
     ConvergenceError,
@@ -210,3 +210,91 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
         assert report.evaluations == report.rounds * (grid_density + 1) ** 2
         rounds += report.rounds
     assert len(windows) == rounds
+
+
+# The array closed forms must give the scalar functions' bits at the
+# endpoints and pi/4, on the 200,001-point grid and at 1,000 seeded angles.
+ANGLES = np.concatenate([
+    [0.0, math.pi / 4, math.pi / 2],
+    np.linspace(0.0, math.pi / 2, 200_001),
+    np.random.default_rng(20261018).uniform(0.0, math.pi / 2, 1000),
+])
+
+
+@pytest.fixture(scope="module")
+def samples():
+    """(coefficients, angles, coefficient columns): the scalar optimum at
+    every angle of ANGLES, then random surface points and the corners
+    (1, 0, 0), (0, 1/sqrt 2, 0) and (0, 0, 1), where the multiplier comes
+    from the third equation or from none, each at the 1,000 seeded angles."""
+    phis = ANGLES.tolist()
+    coeffs = list(map(optimal_coefficients, phis))
+    seeded = phis[-1000:]
+    rng = np.random.default_rng(20261019)
+    for t, u in rng.uniform(0.0, math.pi / 2, size=(1000, 2)):
+        coeffs.append(ClonerCoefficients(
+            a=math.sin(t) * math.cos(u), b=math.cos(t) * math.sqrt(0.5), c=math.sin(t) * math.sin(u)
+        ))
+    for corner in [(1.0, 0.0, 0.0), (0.0, math.sqrt(0.5), 0.0), (0.0, 0.0, 1.0)]:
+        coeffs += [ClonerCoefficients(*corner)] * len(seeded)
+    phis += seeded * 4
+    columns = tuple(np.array(column) for column in zip(*(cc.as_tuple() for cc in coeffs)))
+    return coeffs, phis, columns
+
+
+def _same_bits(array_result, scalar_results):
+    """Arrays, or tuples of arrays, against a list of scalar results."""
+    if isinstance(array_result, tuple):
+        array_result, scalar_results = np.stack(array_result), np.transpose(scalar_results)
+    assert array_result.tobytes() == np.array(scalar_results, dtype=float).tobytes()
+
+
+def test_array_optimal_coefficients_match_scalar_bits(samples):
+    coeffs = samples[0][: len(ANGLES)]
+    _same_bits(optimizer.optimal_coefficients_batch(ANGLES), [cc.as_tuple() for cc in coeffs])
+
+
+@pytest.mark.parametrize(
+    "scalar, batch",
+    [
+        (optimal_fidelity, optimizer.optimal_fidelity_batch),
+        (optimal_shrinking, optimizer.optimal_shrinking_batch),
+    ],
+    ids=["optimal_fidelity", "optimal_shrinking"],
+)
+def test_array_closed_forms_match_scalar_bits(scalar, batch):
+    _same_bits(batch(ANGLES), list(map(scalar, ANGLES.tolist())))
+
+
+def _multiplier(cc, phi):
+    lam = recover_multiplier(cc, phi)
+    return math.nan if lam is None else lam
+
+
+@pytest.mark.parametrize(
+    "scalar, batch",
+    [
+        (fidelity_closed_form, cloner.fidelity_closed_form_batch),
+        (lambda cc, phi: cloner.shrinking_factors(cc), lambda coeffs, _: cloner.shrinking_factors_batch(coeffs)),
+        (_multiplier, optimizer.recover_multiplier_batch),
+    ],
+    ids=["fidelity_closed_form", "shrinking_factors", "recover_multiplier"],
+)
+def test_array_coefficient_forms_match_scalar_bits(samples, scalar, batch):
+    coeffs, phis, columns = samples
+    _same_bits(batch(columns, np.array(phis)), list(map(scalar, coeffs, phis)))
+
+
+def test_array_lagrange_residual_matches_scalar_bits(samples):
+    coeffs, phis, columns = samples
+    # the recovered multipliers (pinned above), and any one where none is
+    multipliers = optimizer.recover_multiplier_batch(columns, np.array(phis))
+    multipliers = np.nan_to_num(multipliers, nan=0.25)
+    result = optimizer.lagrange_residual_batch(columns, multipliers, np.array(phis))
+    _same_bits(result, list(map(lagrange_residual, coeffs, multipliers.tolist(), phis)))
+
+
+@pytest.mark.parametrize("bad", [np.array([0.1, -1e-300]), np.array([math.nan]), np.array([[0.1]])])
+def test_array_closed_forms_validate_angles(bad):
+    with pytest.raises(ValueError, match="angles"):
+        optimizer.optimal_fidelity_batch(bad)
