@@ -88,15 +88,15 @@ def _grid_deviations(phis) -> dict:
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
     gram = isometries.conj().transpose(0, 2, 1) @ isometries
-    f_opt = optimizer.optimal_fidelity_batch(phis)
+    f_opt = optimizer.optimal_fidelity(phis)
     f_closed = cloner.fidelity_closed_form_batch(coeffs, phis)
-    eta = np.column_stack(optimizer.optimal_shrinking_batch(phis))
-    _, mirrored = optimizer.optimal_shrinking_batch(_HALF_PI - phis)
+    eta = np.column_stack(optimizer.optimal_shrinking(phis))
+    _, mirrored = optimizer.optimal_shrinking(_HALF_PI - phis)
     formula = np.column_stack(cloner.shrinking_factors_batch(coeffs))
-    multipliers = optimizer.recover_multiplier_batch(coeffs, phis)
+    multipliers = optimizer.first_equation_multiplier(coeffs, phis)  # a >= 1/2 here
     residuals = np.column_stack(optimizer.lagrange_residual_batch(coeffs, multipliers, phis))
     deviations.update({
-        "optimal coefficient constraint": np.abs(a * a + 2 * b * b + c * c - 1.0),
+        "optimal coefficient constraint": np.abs(cloner.constraint_defect(a, b, c)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
         "four fidelities equal": np.max(fids, axis=1) - np.min(fids, axis=1),
         "simulation matches optimal fidelity": np.abs(fids - f_opt[:, None]),
@@ -190,7 +190,7 @@ def run_checks(
 
     # --- perfect-cloning endpoints ----------------------------------------
     ends = np.array([0.0, _HALF_PI])
-    perfect = list(np.abs(optimizer.optimal_fidelity_batch(ends) - 1.0))
+    perfect = list(np.abs(optimizer.optimal_fidelity(ends) - 1.0))
     states, _ = ensemble.family(ends[:1])
     at_zero = cloner.clone_batch(
         cloner.isometry_batch(np.column_stack(optimizer.optimal_coefficients_batch(ends[:1]))),
@@ -204,7 +204,7 @@ def run_checks(
 
     # --- worst case sits at the centre of the range ------------------------
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
-    values = optimizer.optimal_fidelity_batch(fine)
+    values = optimizer.optimal_fidelity(fine)
     argmin = int(np.argmin(values))
     step = fine[1] - fine[0]
     results.append(
@@ -218,7 +218,7 @@ def run_checks(
 
     # --- independent grid-search oracle ------------------------------------
     oracle_phis = np.linspace(0.0, _HALF_PI, 25)
-    closed_f = optimizer.optimal_fidelity_batch(oracle_phis)
+    closed_f = optimizer.optimal_fidelity(oracle_phis)
     closed_c = np.column_stack(optimizer.optimal_coefficients_batch(oracle_phis))
     searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in oracle_phis]
     oracle_f = np.abs([search.best_fidelity for search in searches] - closed_f)

@@ -22,8 +22,8 @@ from .optimizer import (
     MIN_GRID_DENSITY,
     numeric_optimize,
     optimal_coefficients_batch,
-    optimal_fidelity_batch,
-    optimal_shrinking_batch,
+    optimal_fidelity,
+    optimal_shrinking,
 )
 from .report import build_clone_report, format_clone_report
 
@@ -156,7 +156,7 @@ def _write_sweep(args, handle) -> None:
     for start in range(0, len(phis), _SWEEP_BLOCK):
         block = phis[start:start + _SWEEP_BLOCK]
         a, b, c = optimal_coefficients_batch(block)
-        columns = [block, optimal_fidelity_batch(block), *optimal_shrinking_batch(block), a, b, c]
+        columns = [block, optimal_fidelity(block), *optimal_shrinking(block), a, b, c]
         columns = [column.tolist() for column in columns]
         if args.with_oracle:
             columns.append([

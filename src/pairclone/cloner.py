@@ -41,6 +41,11 @@ class UnitarityError(ValueError):
     """Coefficients or ancilla choices incompatible with a norm-preserving map."""
 
 
+def constraint_defect(a, b, c):
+    """Signed deviation a^2 + 2b^2 + c^2 - 1, for floats or arrays."""
+    return a * a + 2 * b * b + c * c - 1.0
+
+
 @dataclass(frozen=True)
 class ClonerCoefficients:
     """Real nonnegative amplitudes (a, b, c) with a^2 + 2b^2 + c^2 = 1.
@@ -70,7 +75,7 @@ class ClonerCoefficients:
     @property
     def constraint_defect(self) -> float:
         """Signed deviation a^2 + 2b^2 + c^2 - 1."""
-        return self.a * self.a + 2 * self.b * self.b + self.c * self.c - 1.0
+        return constraint_defect(self.a, self.b, self.c)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)

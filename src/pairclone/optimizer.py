@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import ClonerCoefficients
+from .cloner import ClonerCoefficients, constraint_defect
 from .ensemble import angle_terms, check_angle
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -61,12 +61,14 @@ class NumericSearchReport:
     rounds: int
 
 
-# Each closed form has one body, ``*_batch``, that takes one angle or an
-# (N,) array of angles (and coefficients as floats a, b, c or as three (N,)
-# arrays) and returns the same kind; :func:`ensemble.angle_terms` says why
-# both give the same bits.  The scalar functions are its N = 1 wrappers.
-# Only recover_multiplier keeps a scalar body of its own, because its
-# branches select per element in the array form.
+# Each closed form has one body that takes one angle or an (N,) array of
+# angles (and coefficients as floats a, b, c or as three (N,) arrays) and
+# returns the same kind; :func:`ensemble.angle_terms` says why both give
+# the same bits.  A ``*_batch`` name exists only where the scalar function
+# takes or returns a :class:`ClonerCoefficients`, and the scalar function
+# is then its one-angle wrapper.  recover_multiplier has two branches and
+# shares the first, :func:`first_equation_multiplier`, the one that holds
+# at every optimum.
 
 
 def optimal_coefficients(phi: float) -> ClonerCoefficients:
@@ -82,28 +84,20 @@ def optimal_coefficients_batch(phis):
     return 0.5 * (1.0 + cos2 * k), 0.5 * sin2 * k, 0.5 * (1.0 - cos2 * k)
 
 
-def optimal_fidelity(phi: float) -> float:
-    """Maximum achievable copy fidelity at angle ``phi``."""
-    return optimal_fidelity_batch(phi)
-
-
-def optimal_fidelity_batch(phis):
-    """:func:`optimal_fidelity` at each angle of ``phis``."""
-    _, _, root = angle_terms(phis)
+def optimal_fidelity(phi: float | np.ndarray) -> float | np.ndarray:
+    """Maximum achievable copy fidelity at angle ``phi``, or at each angle
+    of an (N,) array."""
+    _, _, root = angle_terms(phi)
     return 0.5 * (1.0 + root)
 
 
-def optimal_shrinking(phi: float) -> tuple[float, float]:
-    """Shrinking factors of the optimal cloner: (K sin^2 phi, K cos^2 phi).
+def optimal_shrinking(phi: float | np.ndarray) -> tuple:
+    """Shrinking factors of the optimal cloner: (K sin^2 phi, K cos^2 phi),
+    two floats for one angle or two (N,) arrays for an (N,) array.
 
     They satisfy eta_x^2 + eta_z^2 = 1 and eta_x(phi) = eta_z(pi/2 - phi).
     """
-    return optimal_shrinking_batch(phi)
-
-
-def optimal_shrinking_batch(phis):
-    """(eta_x, eta_z) of :func:`optimal_shrinking` at each angle of ``phis``."""
-    sin2, cos2, root = angle_terms(phis)
+    sin2, cos2, root = angle_terms(phi)
     k = 1.0 / root
     return sin2 * k, cos2 * k
 
@@ -127,8 +121,7 @@ def lagrange_residual_batch(coeffs, multipliers, phis):
     r1 = a * cos2 + b * sin2 - 2 * a * lam
     r2 = (a + c) * sin2 - 4 * b * lam
     r3 = -c * cos2 + b * sin2 - 2 * c * lam
-    r4 = a * a + 2 * b * b + c * c - 1.0
-    return r1, r2, r3, r4
+    return r1, r2, r3, constraint_defect(a, b, c)
 
 
 def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
@@ -136,26 +129,23 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     when a vanishes).  Returns None when both a and c are zero, in which
     case no multiplier can be recovered and residual checks are skipped."""
     a, b, c = coeffs.as_tuple()
-    sin2, cos2, _ = angle_terms(phi)
     if a > 1e-9:
-        return (a * cos2 + b * sin2) / (2 * a)
+        return first_equation_multiplier((a, b, c), phi)
+    sin2, cos2, _ = angle_terms(phi)
     if c > 1e-9:
         return (-c * cos2 + b * sin2) / (2 * c)
     return None
 
 
-def recover_multiplier_batch(coeffs, phis) -> np.ndarray:
-    """:func:`recover_multiplier` for coefficient arrays (a, b, c) at an
-    (N,) array of angles, with NaN where a and c both vanish.  Each
-    equation is divided only where it is used, so nothing divides by zero.
-    It validates the angles, not the coefficients."""
-    a, b, c = coeffs
+def first_equation_multiplier(coeffs, phis):
+    """Multiplier (a cos^2 phi + b sin^2 phi) / (2a) implied by the first
+    stationarity equation, for coefficients (a, b, c) as floats or (N,)
+    arrays at one angle or an (N,) array of angles.  It is
+    :func:`recover_multiplier` wherever a > 1e-9, so at every optimum
+    (a >= 1/2 there).  It validates the angles, not the coefficients."""
+    a, b, _ = coeffs
     sin2, cos2, _ = angle_terms(phis)
-    lam = np.full(len(phis), math.nan)
-    from_a = a > 1e-9
-    np.divide(a * cos2 + b * sin2, 2 * a, out=lam, where=from_a)
-    np.divide(-c * cos2 + b * sin2, 2 * c, out=lam, where=~from_a & (c > 1e-9))
-    return lam
+    return (a * cos2 + b * sin2) / (2 * a)
 
 
 def _evaluate_grid(ts, us, cos2, sin2, buffers) -> np.ndarray:

@@ -19,7 +19,7 @@ def _dip_beside_quarter_pi(values, phis):
 # properties that must then fail); at least one from each of acceptance
 # criteria 2-9.  Each closed form is perturbed in the array function verify
 # calls; the id names the closed form.  tests/test_cli.py covers a plain
-# 1e-6 shift and a NaN in optimizer.optimal_fidelity_batch.
+# 1e-6 shift and a NaN in optimizer.optimal_fidelity.
 MUTATIONS = [
     pytest.param(
         cloner, "clone_batch",
@@ -51,12 +51,12 @@ MUTATIONS = [
         id="C6-shrinking_factors",
     ),
     pytest.param(
-        optimizer, "optimal_shrinking_batch", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        optimizer, "optimal_shrinking", lambda out, *_: (out[0] * (1 + EPS), out[1]),
         ["shrinking factor identities", "shrinking reflection symmetry"],
         id="C6-optimal_shrinking",
     ),
     pytest.param(
-        optimizer, "optimal_fidelity_batch", _dip_beside_quarter_pi,
+        optimizer, "optimal_fidelity", _dip_beside_quarter_pi,
         ["fidelity minimum at pi/4"],
         id="C7-optimal_fidelity-dip",
     ),

@@ -227,15 +227,15 @@ class TestVerify:
 
     def test_nan_deviation_fails_closed(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            optimizer, "optimal_fidelity_batch", lambda phis: np.full(len(phis), math.nan)
+            optimizer, "optimal_fidelity", lambda phis: np.full(len(phis), math.nan)
         )
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
 
     def test_perturbed_closed_form_fails(self, capsys, monkeypatch):
-        exact = optimizer.optimal_fidelity_batch
-        monkeypatch.setattr(optimizer, "optimal_fidelity_batch", lambda phis: exact(phis) + 1e-6)
+        exact = optimizer.optimal_fidelity
+        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phis: exact(phis) + 1e-6)
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out

@@ -254,21 +254,9 @@ def test_array_optimal_coefficients_match_scalar_bits(samples):
     _same_bits(optimizer.optimal_coefficients_batch(ANGLES), [cc.as_tuple() for cc in coeffs])
 
 
-@pytest.mark.parametrize(
-    "scalar, batch",
-    [
-        (optimal_fidelity, optimizer.optimal_fidelity_batch),
-        (optimal_shrinking, optimizer.optimal_shrinking_batch),
-    ],
-    ids=["optimal_fidelity", "optimal_shrinking"],
-)
-def test_array_closed_forms_match_scalar_bits(scalar, batch):
-    _same_bits(batch(ANGLES), list(map(scalar, ANGLES.tolist())))
-
-
-def _multiplier(cc, phi):
-    lam = recover_multiplier(cc, phi)
-    return math.nan if lam is None else lam
+@pytest.mark.parametrize("closed_form", [optimal_fidelity, optimal_shrinking])
+def test_array_closed_forms_match_scalar_bits(closed_form):
+    _same_bits(closed_form(ANGLES), list(map(closed_form, ANGLES.tolist())))
 
 
 @pytest.mark.parametrize(
@@ -276,25 +264,38 @@ def _multiplier(cc, phi):
     [
         (fidelity_closed_form, cloner.fidelity_closed_form_batch),
         (lambda cc, phi: cloner.shrinking_factors(cc), lambda coeffs, _: cloner.shrinking_factors_batch(coeffs)),
-        (_multiplier, optimizer.recover_multiplier_batch),
     ],
-    ids=["fidelity_closed_form", "shrinking_factors", "recover_multiplier"],
+    ids=["fidelity_closed_form", "shrinking_factors"],
 )
 def test_array_coefficient_forms_match_scalar_bits(samples, scalar, batch):
     coeffs, phis, columns = samples
     _same_bits(batch(columns, np.array(phis)), list(map(scalar, coeffs, phis)))
 
 
-def test_array_lagrange_residual_matches_scalar_bits(samples):
+@pytest.fixture(scope="module")
+def multipliers(samples):
+    """recover_multiplier at every sample, None where it finds none."""
+    coeffs, phis, _ = samples
+    return list(map(recover_multiplier, coeffs, phis))
+
+
+def test_first_equation_multiplier_matches_recover_multiplier_bits(samples, multipliers):
+    # every sample with a > 1e-9, where recover_multiplier uses the first equation
+    _, phis, columns = samples
+    used = np.flatnonzero(columns[0] > 1e-9)
+    result = optimizer.first_equation_multiplier([column[used] for column in columns], np.array(phis)[used])
+    _same_bits(result, [multipliers[i] for i in used.tolist()])
+
+
+def test_array_lagrange_residual_matches_scalar_bits(samples, multipliers):
     coeffs, phis, columns = samples
     # the recovered multipliers (pinned above), and any one where none is
-    multipliers = optimizer.recover_multiplier_batch(columns, np.array(phis))
-    multipliers = np.nan_to_num(multipliers, nan=0.25)
-    result = optimizer.lagrange_residual_batch(columns, multipliers, np.array(phis))
-    _same_bits(result, list(map(lagrange_residual, coeffs, multipliers.tolist(), phis)))
+    lams = [0.25 if lam is None else lam for lam in multipliers]
+    result = optimizer.lagrange_residual_batch(columns, np.array(lams), np.array(phis))
+    _same_bits(result, list(map(lagrange_residual, coeffs, lams, phis)))
 
 
 @pytest.mark.parametrize("bad", [np.array([0.1, -1e-300]), np.array([math.nan]), np.array([[0.1]])])
 def test_array_closed_forms_validate_angles(bad):
     with pytest.raises(ValueError, match="angles"):
-        optimizer.optimal_fidelity_batch(bad)
+        optimal_fidelity(bad)
