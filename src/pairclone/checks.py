@@ -126,12 +126,19 @@ def run_checks(
     rng = np.random.default_rng(_SEED)
     results: list[CheckResult] = []
 
-    # Blocks of angles bound the kernel's working memory for any grid size.
-    blocks = [_grid_deviations(block) for block in np.array_split(phis, -(-grid // _BLOCK))]
-    at_grid = _at_phi(phis)
-    for name in blocks[0]:
-        per_angle = np.concatenate([block[name] for block in blocks])
-        results.append(_worst(name, per_angle, tolerance, at_grid))
+    # Blocks of angles bound the working memory for any grid size: each
+    # block keeps only its worst angle per property.  The first maximum
+    # (or first NaN) of the block maxima is that of all angles.
+    block_worst = {}  # name -> [(deviation, index into phis)] in block order
+    start = 0
+    for block in np.array_split(phis, -(-grid // _BLOCK)):
+        for name, per_angle in _grid_deviations(block).items():
+            index = int(np.argmax(per_angle))  # first maximum, or first NaN
+            block_worst.setdefault(name, []).append((per_angle[index], start + index))
+        start += len(block)
+    for name, worst in block_worst.items():
+        deviations, indices = zip(*worst)
+        results.append(_worst(name, deviations, tolerance, _at_phi(phis[list(indices)])))
 
     # --- copy symmetry and channel geometry on random states -------------
     channel_phis = np.linspace(0.0, _HALF_PI, 25)

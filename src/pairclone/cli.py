@@ -28,8 +28,9 @@ from .optimizer import (
 from .report import build_clone_report, format_clone_report
 
 # Largest --steps of sweep and verify.  At the cap a whole command peaked at
-# 40 MB resident for sweep (its rows are written block by block) and 170 MB
-# for verify (13 per-angle deviation arrays), with Python 3.11, numpy 2.4.6.
+# 40 MB resident for sweep (its rows are written block by block) and 51 MB
+# for verify (each block of angles keeps only its worst angle per property),
+# with Python 3.11, numpy 2.4.6.
 MAX_STEPS = 1_000_000
 
 # Sweep rows per array call and per write, which bounds its working memory.
@@ -119,7 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append a grid-search fidelity column as an independent check",
     )
     sweep.add_argument(
-        "--oracle-grid", type=int, default=256, help="grid density, used with --with-oracle"
+        "--oracle-grid",
+        type=int,
+        default=256,
+        help="grid density of the first refinement round, used with --with-oracle",
     )
 
     clone = sub.add_parser("clone", help="inspect one angle in detail")
@@ -140,7 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1e-10,
         help="bound for closed-form identities; the oracle gets 100x this",
     )
-    verify.add_argument("--oracle-grid", type=int, default=256)
+    verify.add_argument(
+        "--oracle-grid", type=int, default=256, help="grid density of the first refinement round"
+    )
 
     return parser
 

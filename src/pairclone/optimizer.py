@@ -30,8 +30,10 @@ _SQRT_HALF = math.sqrt(0.5)
 MIN_GRID_DENSITY = 64
 MAX_GRID_DENSITY = 2048
 
-# Refinement policy of :func:`numeric_optimize`.
+# Refinement policy of :func:`numeric_optimize`.  Rounds after the first
+# search a window of +-4 spacings on _REFINE_INTERVALS intervals.
 _REFINE_TOLERANCE = 1e-12
+_REFINE_INTERVALS = 64
 _MAX_ROUNDS = 60
 
 
@@ -48,8 +50,9 @@ class ConvergenceError(RuntimeError):
 class NumericSearchReport:
     """Outcome of the derivative-free constrained maximisation.
 
-    ``rounds`` grids of (grid_density + 1)^2 nodes each were evaluated, so
-    ``evaluations == rounds * (grid_density + 1) ** 2``.
+    The first of ``rounds`` grids has (grid_density + 1)^2 nodes and each
+    later one 65^2, so
+    ``evaluations == (grid_density + 1) ** 2 + (rounds - 1) * 65 ** 2``.
     ``achieved_tolerance`` is the largest improvement of the incumbent
     fidelity over the final three rounds (inf while fewer than three ran).
     """
@@ -186,16 +189,23 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
 
         a = sin t cos u,   c = sin t sin u,   b = cos t / sqrt(2)
 
-    Each round evaluates a (grid_density + 1)^2 grid, then shrinks the
-    search window to a few grid spacings around the incumbent best and
-    re-centres there.  A single round can fail to improve just because
-    window clipping moved the nodes, so refinement stops only after three
-    consecutive rounds improve by less than 1e-12 (or the window collapses
-    below resolvable size).  Each round shrinks the window to at most
-    8 / grid_density of its width, so the window collapses within 14
-    rounds at any accepted grid; the 60-round cap only guards the loop.
-    Results are deterministic: grids are fixed by (phi, grid_density) and
-    ties resolve to the smallest (t, u).
+    The first round evaluates a (grid_density + 1)^2 grid over the whole
+    chart; each round then shrinks the search window to +-4 spacings of
+    the grid it just evaluated around the incumbent best, and every later
+    round evaluates a 65^2 grid (64 intervals) there, so
+    ``evaluations == (grid_density + 1) ** 2 + (rounds - 1) * 65 ** 2``.
+    A single round can fail to improve just because window clipping moved
+    the nodes, or because its best node is already the nearest to the
+    optimum, so refinement stops only after three consecutive rounds
+    improve by less than 1e-12 on a grid whose spacing s has s^2 < 1e-12
+    (or once the window collapses below 1e-11).  The first shrink
+    keeps at most 8 / grid_density <= 1/8 of the width and each later one
+    at most 8 / 64 = 1/8, so round r searches a window at most
+    (pi/2) / 8^(r - 1) wide; that is below 1e-11 from r = 14 on, so the
+    search ends within 14 rounds at any accepted grid and the 60-round cap
+    only guards the loop.  At grid_density 64 every round has 64
+    intervals.  Results are deterministic: grids are fixed by
+    (phi, grid_density) and ties resolve to the smallest (t, u).
     """
     phi = check_angle(phi)
     grid_density = int(grid_density)
@@ -210,6 +220,10 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     half_pi = math.pi / 2
     n = grid_density + 1
     buffers = [np.empty((n, n)) for _ in range(4)]
+    # Later rounds use a contiguous (m, m) prefix of each work buffer.
+    m = _REFINE_INTERVALS + 1
+    refine_buffers = [buf.reshape(-1)[: m * m].reshape(m, m) for buf in buffers]
+    intervals = grid_density
 
     t_lo, t_hi = 0.0, half_pi
     u_lo, u_hi = 0.0, half_pi
@@ -218,12 +232,12 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     improvements = []  # per round; the first is inf
 
     for _ in range(_MAX_ROUNDS):
-        ts = np.linspace(t_lo, t_hi, n)
-        us = np.linspace(u_lo, u_hi, n)
+        ts = np.linspace(t_lo, t_hi, intervals + 1)
+        us = np.linspace(u_lo, u_hi, intervals + 1)
         ff = _evaluate_grid(ts, us, cos2, sin2, buffers)
 
         flat_index = int(np.argmax(ff))  # first max = smallest (t, u)
-        row, col = divmod(flat_index, n)
+        row, col = divmod(flat_index, intervals + 1)
         round_best = float(ff[row, col])
         improvements.append(max(round_best - best_f, 0.0))
         if round_best > best_f:
@@ -231,17 +245,24 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
             best_t = float(ts[row])
             best_u = float(us[col])
 
+        # Small gains count only once this grid is fine enough: a node
+        # can beat all its neighbours and still miss the optimum by
+        # spacing^2 / 2 (the objective's Hessian norm is at most 2).
         achieved = max(improvements[-3:])
-        if achieved < _REFINE_TOLERANCE or max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
+        h_t = (t_hi - t_lo) / intervals
+        h_u = (u_hi - u_lo) / intervals
+        converged = achieved < _REFINE_TOLERANCE and max(h_t, h_u) ** 2 < _REFINE_TOLERANCE
+        if converged or max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
             break
 
-        # Shrink to a window of +-4 grid spacings around the incumbent.
-        h_t = (t_hi - t_lo) / grid_density
-        h_u = (u_hi - u_lo) / grid_density
+        # Shrink to a window of +-4 spacings of this round's grid around
+        # the incumbent; the next round has _REFINE_INTERVALS intervals.
         t_lo = max(0.0, best_t - 4 * h_t)
         t_hi = min(half_pi, best_t + 4 * h_t)
         u_lo = max(0.0, best_u - 4 * h_u)
         u_hi = min(half_pi, best_u + 4 * h_u)
+        intervals = _REFINE_INTERVALS
+        buffers = refine_buffers
     else:
         raise ConvergenceError(
             f"no convergence after {_MAX_ROUNDS} rounds; largest improvement "
@@ -257,7 +278,7 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     return NumericSearchReport(
         best_coeffs=coeffs,
         best_fidelity=best_f,
-        evaluations=len(improvements) * n * n,
+        evaluations=n * n + (len(improvements) - 1) * m * m,
         achieved_tolerance=achieved,
         rounds=len(improvements),
     )

@@ -118,6 +118,25 @@ def test_grid_blocks_do_not_change_results(monkeypatch):
     assert split == whole
 
 
+@pytest.mark.parametrize("later", [math.nan, 2e20, 1e20], ids=["nan-beats-larger", "larger", "tie-keeps-first"])
+def test_worst_angle_found_across_blocks(monkeypatch, later):
+    # a deviation of 1e20 (exact: 1e20 - F == 1e20) in the first block and
+    # `later` in the sixth
+    phis = np.linspace(0.0, math.pi / 2, 50)
+    first, second = phis[3], phis[40]
+    exact = cloner.fidelity_closed_form_batch
+
+    def perturbed(coeffs, block):
+        values = np.where(block == first, 1e20, exact(coeffs, block))
+        return np.where(block == second, later, values)
+
+    monkeypatch.setattr(checks, "_BLOCK", 7)
+    monkeypatch.setattr(cloner, "fidelity_closed_form_batch", perturbed)
+    chain = {r.name: r for r in run_checks(grid=50, oracle_grid=64)}["optimal fidelity consistency chain"]
+    assert chain.deviation == later or math.isnan(later) and math.isnan(chain.deviation)
+    assert chain.worst_at == f"phi={(first if later == 1e20 else second):.6g}"
+
+
 @pytest.mark.parametrize("module, function, perturb, failing", MUTATIONS)
 def test_each_pinned_property_can_fail(monkeypatch, module, function, perturb, failing):
     original = getattr(module, function)

@@ -207,9 +207,33 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     rounds = 0
     for phi in [0.0, math.pi / 4, math.pi / 2, *map(float, seeded)]:
         report = numeric_optimize(phi, grid_density=grid_density)
-        assert report.evaluations == report.rounds * (grid_density + 1) ** 2
+        assert report.evaluations == (grid_density + 1) ** 2 + (report.rounds - 1) * 65**2
         rounds += report.rounds
     assert len(windows) == rounds
+
+
+# Within a few milliradians of an endpoint the first round's best node is
+# (or sits next to) the endpoint optimum, and later rounds can gain nothing
+# for several rounds while the optimum is still far from a node.
+NEAR_ENDPOINTS = [x for gap in np.geomspace(5e-4, 1e-2, 6) for x in (gap, math.pi / 2 - gap)]
+
+
+@pytest.mark.parametrize(
+    "grid_density, near, seeded",
+    [(64, NEAR_ENDPOINTS, 200), (128, NEAR_ENDPOINTS, 200), (256, NEAR_ENDPOINTS, 200),
+     (512, [], 3), (1024, [], 3), (2048, [], 2)],
+    ids=["64", "128", "256", "512", "1024", "2048"],
+)
+def test_oracle_accuracy_at_every_grid(grid_density, near, seeded):
+    """The search stays 100x inside verify's oracle bounds (1e-8 on the
+    fidelity, 1e-4 on the coefficients) and within its 14-round bound."""
+    rng = np.random.default_rng(4000 + grid_density)
+    for phi in [0.0, math.pi / 4, math.pi / 2, *near, *rng.uniform(0, math.pi / 2, seeded).tolist()]:
+        report = numeric_optimize(phi, grid_density=grid_density)
+        assert abs(report.best_fidelity - optimal_fidelity(phi)) <= 1e-10, phi
+        found, exact = report.best_coeffs.as_tuple(), optimal_coefficients(phi).as_tuple()
+        assert max(abs(x - y) for x, y in zip(found, exact)) <= 1e-6, phi
+        assert report.rounds <= 14, phi
 
 
 # The array closed forms must give the scalar functions' bits at the
