@@ -30,8 +30,8 @@ _SQRT_HALF = math.sqrt(0.5)
 MIN_GRID_DENSITY = 64
 MAX_GRID_DENSITY = 2048
 
-# Refinement policy of :func:`numeric_optimize`.  Rounds after the first
-# search a window of +-4 spacings on _REFINE_INTERVALS intervals.
+# Refinement policy of :func:`numeric_optimize`.  Every round after the
+# first evaluates _REFINE_INTERVALS intervals per axis.
 _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
 _MAX_ROUNDS = 60

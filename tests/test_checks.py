@@ -118,7 +118,9 @@ def test_grid_blocks_do_not_change_results(monkeypatch):
     assert split == whole
 
 
-@pytest.mark.parametrize("later", [math.nan, 2e20, 1e20], ids=["nan-beats-larger", "larger", "tie-keeps-first"])
+@pytest.mark.parametrize(
+    "later", [math.nan, 2e20, 1e20], ids=["nan-beats-larger", "larger", "tie-keeps-first"]
+)
 def test_worst_angle_found_across_blocks(monkeypatch, later):
     # a deviation of 1e20 (exact: 1e20 - F == 1e20) in the first block and
     # `later` in the sixth
@@ -133,7 +135,7 @@ def test_worst_angle_found_across_blocks(monkeypatch, later):
     monkeypatch.setattr(checks, "_BLOCK", 7)
     monkeypatch.setattr(cloner, "fidelity_closed_form_batch", perturbed)
     chain = {r.name: r for r in run_checks(grid=50, oracle_grid=64)}["optimal fidelity consistency chain"]
-    assert chain.deviation == later or math.isnan(later) and math.isnan(chain.deviation)
+    assert chain.deviation == later or (math.isnan(later) and math.isnan(chain.deviation))
     assert chain.worst_at == f"phi={(first if later == 1e20 else second):.6g}"
 
 
