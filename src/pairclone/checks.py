@@ -89,12 +89,12 @@ def _grid_deviations(phis) -> dict:
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
     gram = isometries.conj().transpose(0, 2, 1) @ isometries
     f_opt = optimizer.optimal_fidelity(phis)
-    f_closed = cloner.fidelity_closed_form_batch(coeffs, phis)
+    f_closed = cloner.fidelity_closed_form(coeffs, phis)
     eta = np.column_stack(optimizer.optimal_shrinking(phis))
     _, mirrored = optimizer.optimal_shrinking(_HALF_PI - phis)
-    formula = np.column_stack(cloner.shrinking_factors_batch(coeffs))
+    formula = np.column_stack(cloner.shrinking_factors(coeffs))
     multipliers = optimizer.first_equation_multiplier(coeffs, phis)  # a >= 1/2 here
-    residuals = np.column_stack(optimizer.lagrange_residual_batch(coeffs, multipliers, phis))
+    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multipliers, phis))
     deviations.update({
         "optimal coefficient constraint": np.abs(cloner.constraint_defect(a, b, c)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
@@ -146,7 +146,7 @@ def run_checks(
     thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 100))
     kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
     copies = cloner.clone_batch(cloner.isometry_batch(np.column_stack(channel_coeffs)), kets)
-    eta_x, eta_z = cloner.shrinking_factors_batch(channel_coeffs)
+    eta_x, eta_z = cloner.shrinking_factors(channel_coeffs)
     m_expected = np.stack(
         [eta_x[:, None] * np.sin(thetas), np.zeros_like(thetas), eta_z[:, None] * np.cos(thetas)],
         axis=-1,
@@ -229,7 +229,7 @@ def run_checks(
     closed_c = np.column_stack(optimizer.optimal_coefficients_batch(oracle_phis))
     searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in oracle_phis]
     oracle_f = np.abs([search.best_fidelity for search in searches] - closed_f)
-    oracle_c = np.abs([search.best_coeffs.as_tuple() for search in searches] - closed_c)
+    oracle_c = np.abs([tuple(search.best_coeffs) for search in searches] - closed_c)
     at_oracle = _at_phi(oracle_phis)
     results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_oracle))
     results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_oracle))

@@ -52,6 +52,8 @@ class ClonerCoefficients:
 
     The constraint is exactly the condition that the cloning map extends
     to a unitary; violations beyond 1e-9 are rejected at construction.
+    Iterating yields a, b, c, so ``a, b, c = coeffs`` unpacks it just as
+    it unpacks three (N,) arrays.
     """
 
     a: float
@@ -77,8 +79,8 @@ class ClonerCoefficients:
         """Signed deviation a^2 + 2b^2 + c^2 - 1."""
         return constraint_defect(self.a, self.b, self.c)
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
+    def __iter__(self):
+        return iter((self.a, self.b, self.c))
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def build_isometry(
     happen for non-default ancilla assignments, raises
     :class:`UnitarityError`.
     """
-    isometry = np.ascontiguousarray(isometry_batch([coeffs.as_tuple()], ancilla)[0])
+    isometry = np.ascontiguousarray(isometry_batch([tuple(coeffs)], ancilla)[0])
     gram_defect = float(np.abs(dagger(isometry) @ isometry - np.eye(2)).max())
     if gram_defect > ATOL_INPUT:
         raise UnitarityError(
@@ -252,21 +254,17 @@ def fidelity(psi, rho) -> float:
     return value.real
 
 
-def fidelity_closed_form(coeffs: ClonerCoefficients, phi: float) -> float:
+def fidelity_closed_form(coeffs, phi):
     """Copy fidelity for the overlap-maximising ancilla choice:
 
         F = 1/2 + (a^2 - c^2) cos^2(phi) / 2 + b (a + c) sin^2(phi)
+
+    for coefficients that are a :class:`ClonerCoefficients` or three (N,)
+    arrays a, b, c, at one angle or an (N,) array of angles.  It validates
+    the angles (:func:`ensemble.angle_terms`), not the coefficients.
     """
-    return fidelity_closed_form_batch(coeffs.as_tuple(), phi)
-
-
-def fidelity_closed_form_batch(coeffs, phis):
-    """:func:`fidelity_closed_form` for coefficients (a, b, c), three
-    floats or three (N,) arrays, at one angle or an (N,) array of angles.
-    It validates the angles (:func:`ensemble.angle_terms`), not the
-    coefficients."""
     a, b, c = coeffs
-    sin2, cos2, _ = angle_terms(phis)
+    sin2, cos2, _ = angle_terms(phi)
     return 0.5 + 0.5 * (a * a - c * c) * cos2 + b * (a + c) * sin2
 
 
@@ -284,7 +282,7 @@ def fidelity_general(
     (re_ab = re_bc = 2) this coincides with :func:`fidelity_closed_form`.
     """
     phi = check_angle(phi)
-    a, b, c = coeffs.as_tuple()
+    a, b, c = coeffs
     al2 = math.cos(phi / 2) ** 2
     be2 = math.sin(phi / 2) ** 2
     return (
@@ -295,19 +293,15 @@ def fidelity_general(
     )
 
 
-def shrinking_factors(coeffs: ClonerCoefficients) -> tuple[float, float]:
-    """Bloch-plane contraction factors (eta_x, eta_z) = (2b(a+c), a^2 - c^2).
+def shrinking_factors(coeffs):
+    """Bloch-plane contraction factors (eta_x, eta_z) = (2b(a+c), a^2 - c^2)
+    for coefficients that are a :class:`ClonerCoefficients` (two floats)
+    or three (N,) arrays a, b, c (two arrays); it validates nothing.
 
     For any x-z-plane input with Bloch vector (m_x, 0, m_z), each output
     copy has Bloch vector (eta_x m_x, 0, eta_z m_z); both factors refer to
     the default ancilla assignment.
     """
-    return shrinking_factors_batch(coeffs.as_tuple())
-
-
-def shrinking_factors_batch(coeffs):
-    """:func:`shrinking_factors` for coefficients (a, b, c), three floats
-    or three (N,) arrays; it validates nothing."""
     a, b, c = coeffs
     return 2 * b * (a + c), a * a - c * c
 

@@ -16,6 +16,7 @@ above, so agreement between the two routes is a genuine check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +65,8 @@ class NumericSearchReport:
     rounds: int
 
 
-# Each closed form has one body that takes one angle or an (N,) array of
-# angles (and coefficients as floats a, b, c or as three (N,) arrays) and
-# returns the same kind; :func:`ensemble.angle_terms` says why both give
-# the same bits.  A ``*_batch`` name exists only where the scalar function
-# takes or returns a :class:`ClonerCoefficients`, and the scalar function
-# is then its one-angle wrapper.  recover_multiplier has two branches and
-# shares the first, :func:`first_equation_multiplier`, the one that holds
-# at every optimum.
+# optimal_coefficients_batch is the only ``*_batch`` name, because
+# optimal_coefficients returns a validated :class:`ClonerCoefficients`.
 
 
 def optimal_coefficients(phi: float) -> ClonerCoefficients:
@@ -105,25 +100,17 @@ def optimal_shrinking(phi: float | np.ndarray) -> tuple:
     return sin2 * k, cos2 * k
 
 
-def lagrange_residual(
-    coeffs: ClonerCoefficients, multiplier: float, phi: float
-) -> tuple[float, float, float, float]:
+def lagrange_residual(coeffs, multiplier, phi):
     """Residuals of the four stationarity equations of the constrained
-    maximisation.  All four vanish at the closed-form optimum with the
-    matching multiplier."""
-    return lagrange_residual_batch(coeffs.as_tuple(), float(multiplier), phi)
-
-
-def lagrange_residual_batch(coeffs, multipliers, phis):
-    """The four residuals of :func:`lagrange_residual` for coefficients
-    (a, b, c) and multipliers at each angle of ``phis``.  It validates the
-    angles, not the coefficients."""
+    maximisation, for coefficients that are a :class:`ClonerCoefficients`
+    or three (N,) arrays a, b, c, with one multiplier and angle or an (N,)
+    array of each.  All four vanish at the closed-form optimum with the
+    matching multiplier.  It validates the angles, not the coefficients."""
     a, b, c = coeffs
-    lam = multipliers
-    sin2, cos2, _ = angle_terms(phis)
-    r1 = a * cos2 + b * sin2 - 2 * a * lam
-    r2 = (a + c) * sin2 - 4 * b * lam
-    r3 = -c * cos2 + b * sin2 - 2 * c * lam
+    sin2, cos2, _ = angle_terms(phi)
+    r1 = a * cos2 + b * sin2 - 2 * a * multiplier
+    r2 = (a + c) * sin2 - 4 * b * multiplier
+    r3 = -c * cos2 + b * sin2 - 2 * c * multiplier
     return r1, r2, r3, constraint_defect(a, b, c)
 
 
@@ -131,9 +118,9 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     """Multiplier implied by the first stationarity equation (or the third
     when a vanishes).  Returns None when both a and c are zero, in which
     case no multiplier can be recovered and residual checks are skipped."""
-    a, b, c = coeffs.as_tuple()
+    a, b, c = coeffs
     if a > 1e-9:
-        return first_equation_multiplier((a, b, c), phi)
+        return first_equation_multiplier(coeffs, phi)
     sin2, cos2, _ = angle_terms(phi)
     if c > 1e-9:
         return (-c * cos2 + b * sin2) / (2 * c)
@@ -208,7 +195,10 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     (phi, grid_density) and ties resolve to the smallest (t, u).
     """
     phi = check_angle(phi)
-    grid_density = int(grid_density)
+    try:
+        grid_density = operator.index(grid_density)  # no silent truncation
+    except TypeError:
+        raise ValueError(f"grid_density must be an integer, got {grid_density!r}") from None
     if not MIN_GRID_DENSITY <= grid_density <= MAX_GRID_DENSITY:
         raise ValueError(
             f"grid_density must be between {MIN_GRID_DENSITY} and "

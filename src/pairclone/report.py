@@ -98,7 +98,7 @@ def format_clone_report(report: CloneReport) -> str:
     lines = []
     lines.append(f"angle phi = {report.phi:.12g} rad")
     source = "closed-form optimum" if report.used_closed_form_optimum else "user override"
-    a, b, c = report.coeffs.as_tuple()
+    a, b, c = report.coeffs
     lines.append(f"coefficients ({source}): a={a:.12g}  b={b:.12g}  c={c:.12g}")
     lines.append(f"constraint defect a^2+2b^2+c^2-1 = {report.coeffs.constraint_defect:.3e}")
     lines.append("input Bloch vectors:")

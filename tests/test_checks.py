@@ -17,9 +17,8 @@ def _dip_beside_quarter_pi(values, phis):
 
 # (module, function, perturbation of its result given its arguments, the
 # properties that must then fail); at least one from each of acceptance
-# criteria 2-9.  Each closed form is perturbed in the array function verify
-# calls; the id names the closed form.  tests/test_cli.py covers a plain
-# 1e-6 shift and a NaN in optimizer.optimal_fidelity.
+# criteria 2-9.  tests/test_cli.py covers a plain 1e-6 shift and a NaN in
+# optimizer.optimal_fidelity.
 MUTATIONS = [
     pytest.param(
         cloner, "clone_batch",
@@ -41,12 +40,12 @@ MUTATIONS = [
         id="C4-numeric_optimize",
     ),
     pytest.param(
-        optimizer, "lagrange_residual_batch", lambda out, *_: (out[0] + EPS, *out[1:]),
+        optimizer, "lagrange_residual", lambda out, *_: (out[0] + EPS, *out[1:]),
         ["stationarity residuals"],
         id="C5-lagrange_residual",
     ),
     pytest.param(
-        cloner, "shrinking_factors_batch", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        cloner, "shrinking_factors", lambda out, *_: (out[0] * (1 + EPS), out[1]),
         ["channel Bloch contraction map", "shrinking factor identities"],
         id="C6-shrinking_factors",
     ),
@@ -126,14 +125,14 @@ def test_worst_angle_found_across_blocks(monkeypatch, later):
     # `later` in the sixth
     phis = np.linspace(0.0, math.pi / 2, 50)
     first, second = phis[3], phis[40]
-    exact = cloner.fidelity_closed_form_batch
+    exact = cloner.fidelity_closed_form
 
     def perturbed(coeffs, block):
         values = np.where(block == first, 1e20, exact(coeffs, block))
         return np.where(block == second, later, values)
 
     monkeypatch.setattr(checks, "_BLOCK", 7)
-    monkeypatch.setattr(cloner, "fidelity_closed_form_batch", perturbed)
+    monkeypatch.setattr(cloner, "fidelity_closed_form", perturbed)
     chain = {r.name: r for r in run_checks(grid=50, oracle_grid=64)}["optimal fidelity consistency chain"]
     assert chain.deviation == later or (math.isnan(later) and math.isnan(chain.deviation))
     assert chain.worst_at == f"phi={(first if later == 1e20 else second):.6g}"

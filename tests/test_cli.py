@@ -139,7 +139,7 @@ class TestSweep:
         for phi in np.linspace(args.phi_min, args.phi_max, args.steps):
             phi = float(phi)
             coeffs = optimal_coefficients(phi)
-            fields = [phi, optimal_fidelity(phi), *optimal_shrinking(phi), *coeffs.as_tuple()]
+            fields = [phi, optimal_fidelity(phi), *optimal_shrinking(phi), *coeffs]
             if args.with_oracle:
                 fields.append(numeric_optimize(phi, grid_density=args.oracle_grid).best_fidelity)
             lines.append(",".join(f"{value:.12g}" for value in fields))

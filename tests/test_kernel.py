@@ -54,7 +54,7 @@ def kron_isometry(coeffs, ancilla):
     def term(i0, i1, anc):
         return np.kron(np.kron(BASIS[i0], BASIS[i1]), anc)
 
-    a, b, c = coeffs.as_tuple()
+    a, b, c = coeffs
     col0 = (
         a * term(0, 0, ancilla.anc_a0)
         + b * (term(0, 1, ancilla.anc_b0) + term(1, 0, ancilla.anc_b0))
@@ -90,7 +90,7 @@ def test_build_isometry_matches_kron_reference_bit_for_bit(phase_only):
 
 def test_kernel_copies_match_closed_form_and_each_other():
     states, _ = family(PHIS)
-    copies = clone_batch(isometry_batch([cc.as_tuple() for cc in COEFFS]), states)
+    copies = clone_batch(isometry_batch([tuple(cc) for cc in COEFFS]), states)
     closed = np.array([fidelity_closed_form(cc, phi) for cc, phi in zip(COEFFS, PHIS)])
     assert copies.fidelities.shape == (len(PHIS), 4)
     assert np.max(np.abs(copies.fidelities - closed[:, None])) <= 1e-12
@@ -99,7 +99,7 @@ def test_kernel_copies_match_closed_form_and_each_other():
 
 def test_kernel_copies_match_density_matrix_route():
     states, _ = family(PHIS[:20])
-    isometries = isometry_batch([cc.as_tuple() for cc in COEFFS[:20]])
+    isometries = isometry_batch([tuple(cc) for cc in COEFFS[:20]])
     copies = clone_batch(isometries, states)
     for n, isometry in enumerate(isometries):
         for k, psi in enumerate(states[n]):

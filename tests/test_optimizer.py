@@ -5,6 +5,7 @@ import pytest
 
 from pairclone import cloner, optimizer
 from pairclone.cloner import ClonerCoefficients, fidelity_closed_form
+from pairclone.ensemble import angle_terms
 from pairclone.optimizer import (
     MAX_GRID_DENSITY,
     ConvergenceError,
@@ -41,7 +42,7 @@ class TestClosedFormOptimum:
 
     def test_coefficients_at_quarter_pi(self):
         cc = optimal_coefficients(math.pi / 4)
-        for value, expected in zip(cc.as_tuple(), COEFFS_QUARTER_PI):
+        for value, expected in zip(cc, COEFFS_QUARTER_PI):
             assert abs(value - expected) <= TOL
 
     def test_fidelity_endpoints_and_special_points(self):
@@ -81,20 +82,14 @@ class TestStationarity:
             assert abs(lam - (optimal_fidelity(phi) - 0.5)) <= TOL
 
     def test_corner_solution(self):
-        from pairclone.cloner import ClonerCoefficients
-
         residuals = lagrange_residual(ClonerCoefficients(1.0, 0.0, 0.0), 0.5, 0.0)
         assert residuals == (0.0, 0.0, 0.0, 0.0)
 
     def test_multiplier_unrecoverable_when_a_and_c_vanish(self):
-        from pairclone.cloner import ClonerCoefficients
-
         pure_b = ClonerCoefficients(a=0.0, b=math.sqrt(0.5), c=0.0)
         assert recover_multiplier(pure_b, 0.7) is None
 
     def test_random_non_optimal_coefficients_violate_stationarity(self):
-        from pairclone.cloner import ClonerCoefficients
-
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 50:
@@ -123,7 +118,7 @@ class TestNumericOracle:
     def test_quarter_pi(self):
         report = numeric_optimize(math.pi / 4, grid_density=128)
         assert abs(report.best_fidelity - F_QUARTER_PI) <= 1e-8
-        for value, expected in zip(report.best_coeffs.as_tuple(), COEFFS_QUARTER_PI):
+        for value, expected in zip(report.best_coeffs, COEFFS_QUARTER_PI):
             assert abs(value - expected) <= 1e-4
 
     def test_perfect_cloning_at_zero(self):
@@ -157,8 +152,11 @@ class TestNumericOracle:
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=32)
+        with pytest.raises(ValueError, match="grid_density"):
+            numeric_optimize(0.5, grid_density=100.7)  # not truncated to 100
         with pytest.raises(ValueError):
             numeric_optimize(3.0)
+        assert numeric_optimize(0.5, grid_density=np.int64(64)) == numeric_optimize(0.5, grid_density=64)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
         def no_allocation(*args, **kwargs):
@@ -231,29 +229,44 @@ def test_oracle_accuracy_at_every_grid(grid_density, near, seeded):
     for phi in [0.0, math.pi / 4, math.pi / 2, *near, *rng.uniform(0, math.pi / 2, seeded).tolist()]:
         report = numeric_optimize(phi, grid_density=grid_density)
         assert abs(report.best_fidelity - optimal_fidelity(phi)) <= 1e-10, phi
-        found, exact = report.best_coeffs.as_tuple(), optimal_coefficients(phi).as_tuple()
-        assert max(abs(x - y) for x, y in zip(found, exact)) <= 1e-6, phi
+        exact = optimal_coefficients(phi)
+        assert max(abs(x - y) for x, y in zip(report.best_coeffs, exact)) <= 1e-6, phi
         assert report.rounds <= 14, phi
 
 
-# The array closed forms must give the scalar functions' bits at the
-# endpoints and pi/4, on the 200,001-point grid and at 1,000 seeded angles.
-ANGLES = np.concatenate([
-    [0.0, math.pi / 4, math.pi / 2],
-    np.linspace(0.0, math.pi / 2, 200_001),
-    np.random.default_rng(20261018).uniform(0.0, math.pi / 2, 1000),
-])
+# Floats and arrays can differ only in ensemble.angle_terms: every closed
+# form goes on from its three terms with + - * / and sqrt, which give the
+# same bits in numpy and in Python.  So angle_terms is pinned on all
+# 201,004 ANGLES (the endpoints and pi/4, the 200,001-point grid and 1,000
+# seeded angles), and each closed form on the 21,004 PINNED ones: the same
+# special and seeded angles and every 10th grid angle.
+SPECIAL = [0.0, math.pi / 4, math.pi / 2]
+GRID = np.linspace(0.0, math.pi / 2, 200_001)
+SEEDED = np.random.default_rng(20261018).uniform(0.0, math.pi / 2, 1000)
+ANGLES = np.concatenate([SPECIAL, GRID, SEEDED])
+PINNED = np.concatenate([SPECIAL, GRID[::10], SEEDED])
+
+
+def _same_bits(array_result, float_results):
+    """Arrays, or tuples of arrays, against a list of float results."""
+    if isinstance(array_result, tuple):
+        array_result, float_results = np.stack(array_result), np.transpose(float_results)
+    assert array_result.tobytes() == np.array(float_results, dtype=float).tobytes()
+
+
+def test_angle_terms_array_matches_float_bits():
+    _same_bits(angle_terms(ANGLES), list(map(angle_terms, ANGLES.tolist())))
 
 
 @pytest.fixture(scope="module")
 def samples():
-    """(coefficients, angles, coefficient columns): the scalar optimum at
-    every angle of ANGLES, then random surface points and the corners
-    (1, 0, 0), (0, 1/sqrt 2, 0) and (0, 0, 1), where the multiplier comes
-    from the third equation or from none, each at the 1,000 seeded angles."""
-    phis = ANGLES.tolist()
+    """(coefficients, angles, coefficient columns): the optimum at every
+    angle of PINNED, then random surface points and the corners (1, 0, 0),
+    (0, 1/sqrt 2, 0) and (0, 0, 1), where the multiplier comes from the
+    third equation or from none, each at the 1,000 seeded angles."""
+    phis = PINNED.tolist()
     coeffs = list(map(optimal_coefficients, phis))
-    seeded = phis[-1000:]
+    seeded = SEEDED.tolist()
     rng = np.random.default_rng(20261019)
     for t, u in rng.uniform(0.0, math.pi / 2, size=(1000, 2)):
         coeffs.append(ClonerCoefficients(
@@ -262,38 +275,28 @@ def samples():
     for corner in [(1.0, 0.0, 0.0), (0.0, math.sqrt(0.5), 0.0), (0.0, 0.0, 1.0)]:
         coeffs += [ClonerCoefficients(*corner)] * len(seeded)
     phis += seeded * 4
-    columns = tuple(np.array(column) for column in zip(*(cc.as_tuple() for cc in coeffs)))
+    columns = tuple(np.array(column) for column in zip(*coeffs))
     return coeffs, phis, columns
 
 
-def _same_bits(array_result, scalar_results):
-    """Arrays, or tuples of arrays, against a list of scalar results."""
-    if isinstance(array_result, tuple):
-        array_result, scalar_results = np.stack(array_result), np.transpose(scalar_results)
-    assert array_result.tobytes() == np.array(scalar_results, dtype=float).tobytes()
-
-
 def test_array_optimal_coefficients_match_scalar_bits(samples):
-    coeffs = samples[0][: len(ANGLES)]
-    _same_bits(optimizer.optimal_coefficients_batch(ANGLES), [cc.as_tuple() for cc in coeffs])
+    coeffs = samples[0][: len(PINNED)]
+    _same_bits(optimizer.optimal_coefficients_batch(PINNED), list(map(tuple, coeffs)))
 
 
 @pytest.mark.parametrize("closed_form", [optimal_fidelity, optimal_shrinking])
 def test_array_closed_forms_match_scalar_bits(closed_form):
-    _same_bits(closed_form(ANGLES), list(map(closed_form, ANGLES.tolist())))
+    _same_bits(closed_form(PINNED), list(map(closed_form, PINNED.tolist())))
 
 
 @pytest.mark.parametrize(
-    "scalar, batch",
-    [
-        (fidelity_closed_form, cloner.fidelity_closed_form_batch),
-        (lambda cc, phi: cloner.shrinking_factors(cc), lambda coeffs, _: cloner.shrinking_factors_batch(coeffs)),
-    ],
+    "closed_form",
+    [fidelity_closed_form, lambda coeffs, _: cloner.shrinking_factors(coeffs)],
     ids=["fidelity_closed_form", "shrinking_factors"],
 )
-def test_array_coefficient_forms_match_scalar_bits(samples, scalar, batch):
+def test_array_coefficient_forms_match_scalar_bits(samples, closed_form):
     coeffs, phis, columns = samples
-    _same_bits(batch(columns, np.array(phis)), list(map(scalar, coeffs, phis)))
+    _same_bits(closed_form(columns, np.array(phis)), list(map(closed_form, coeffs, phis)))
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +318,7 @@ def test_array_lagrange_residual_matches_scalar_bits(samples, multipliers):
     coeffs, phis, columns = samples
     # the recovered multipliers (pinned above), and any one where none is
     lams = [0.25 if lam is None else lam for lam in multipliers]
-    result = optimizer.lagrange_residual_batch(columns, np.array(lams), np.array(phis))
+    result = lagrange_residual(columns, np.array(lams), np.array(phis))
     _same_bits(result, list(map(lagrange_residual, coeffs, lams, phis)))
 
 
