@@ -8,6 +8,7 @@ are accepted anywhere an angle is expected.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -45,7 +46,8 @@ _PI_LITERAL = re.compile(
 def parse_angle(text: str) -> float:
     """Parse a radian value, accepting ``pi``-fraction literals.
 
-    Examples: ``0.7853``, ``pi/4``, ``3pi/8``, ``0.5*pi``.
+    Examples: ``0.7853``, ``pi/4``, ``3pi/8``, ``0.5*pi``.  A signed zero
+    such as ``-0.0`` gives ``+0.0``, so it reports exactly as ``0`` does.
     """
     match = _PI_LITERAL.match(text)
     if match:
@@ -54,7 +56,8 @@ def parse_angle(text: str) -> float:
         if denom == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
         return coef * math.pi / denom
-    return float(text)
+    value = float(text)
+    return 0.0 if value == 0 else value
 
 
 def _angle_argument(text: str) -> float:
@@ -102,7 +105,15 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it.
+
+    Reuse is safe: ``parse_args`` returns a new namespace on every call, the
+    type converters keep no state, and the range checks read their bounds
+    when they run.  It is built on first use, not at import, so importing
+    the package stays as cheap as before.
+    """
     parser = argparse.ArgumentParser(
         prog="pairclone",
         description="Optimal 1-to-2 cloning of two orthogonal qubit pairs.",

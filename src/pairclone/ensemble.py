@@ -40,7 +40,10 @@ _SECOND = [j - 1 for _, j in PAIRS]
 
 def check_angle(phi: float) -> float:
     """Validate ``phi`` in [0, pi/2] radians and return it as a float."""
-    phi = float(phi)
+    try:
+        phi = float(phi)
+    except TypeError:
+        raise ValueError(f"angle must be a real number, got {type(phi).__name__}") from None
     if not math.isfinite(phi):
         raise ValueError("angle must be finite")
     if phi < PHI_MIN or phi > PHI_MAX:

@@ -42,7 +42,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
             raise ValueError(
                 f"{name} has axis length {length}; admitted lengths are {ADMITTED_DIMS}"
             )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 

@@ -44,6 +44,9 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle("two pi")
 
+    def test_signed_zero_is_positive(self):
+        assert math.copysign(1.0, parse_angle("-0.0")) == 1.0
+
 
 class TestSweep:
     def test_three_point_fidelity_column(self, capsys):
@@ -182,6 +185,9 @@ class TestClone:
             main(["clone", "2.0"])
         assert excinfo.value.code == 2
 
+    def test_negative_zero_reports_as_zero(self, capsys):
+        assert run_cli(capsys, "clone", "--", "-0.0") == run_cli(capsys, "clone", "0")
+
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -289,6 +295,34 @@ def test_steps_upper_bound(capsys, monkeypatch, command):
     message = capsys.readouterr().err.splitlines()[-1]
     assert f"--steps must be between 2 and {MAX_STEPS}, got {MAX_STEPS + 1}" in message
     assert sizes == []
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(capsys):
+    calls = [
+        ["verify", "--steps", "1"],
+        ["clone", "0.3", "--coeffs", "1,1,1"],
+        ["clone", "pi/4"],
+        ["sweep", "--steps", "3"],
+    ]
+    parser = cli._build_parser()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert cli._build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in reused] == [2, 1, 0, 0]
+    assert reused == fresh
 
 
 def test_module_entry_point_runs():

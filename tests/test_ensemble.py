@@ -29,6 +29,11 @@ def test_angle_bounds():
         make_ensemble(-0.01)
 
 
+def test_non_number_angle_is_value_error():
+    with pytest.raises(ValueError, match="angle must be a real number, got NoneType"):
+        check_angle(None)
+
+
 def test_phi_zero_pairs_collapse():
     ens = make_ensemble(0.0)
     assert ens.degenerate
