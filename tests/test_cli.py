@@ -18,7 +18,11 @@ from pairclone.optimizer import (
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -297,16 +301,6 @@ def test_steps_upper_bound(capsys, monkeypatch, command):
     assert sizes == []
 
 
-def _outcome(capsys, argv):
-    """(exit code, stdout, stderr) of one call, usage errors included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def test_reused_parser_matches_a_fresh_one(capsys):
     calls = [
         ["verify", "--steps", "1"],
@@ -315,12 +309,12 @@ def test_reused_parser_matches_a_fresh_one(capsys):
         ["sweep", "--steps", "3"],
     ]
     parser = cli._build_parser()
-    reused = [_outcome(capsys, argv) for argv in calls]
+    reused = [run_cli(capsys, *argv) for argv in calls]
     assert cli._build_parser() is parser
     fresh = []
     for argv in calls:
         cli._build_parser.cache_clear()
-        fresh.append(_outcome(capsys, argv))
+        fresh.append(run_cli(capsys, *argv))
     assert [code for code, _, _ in reused] == [2, 1, 0, 0]
     assert reused == fresh
 

@@ -25,13 +25,10 @@ def test_angle_bounds():
         check_angle(math.pi / 2 + 0.01)
     with pytest.raises(ValueError):
         check_angle(math.nan)
-    with pytest.raises(ValueError):
-        make_ensemble(-0.01)
-
-
-def test_non_number_angle_is_value_error():
     with pytest.raises(ValueError, match="angle must be a real number, got NoneType"):
         check_angle(None)
+    with pytest.raises(ValueError):
+        make_ensemble(-0.01)
 
 
 def test_phi_zero_pairs_collapse():

@@ -61,11 +61,9 @@ class TestClosedFormOptimum:
         for func in (optimal_coefficients, optimal_fidelity, optimal_shrinking):
             with pytest.raises(ValueError):
                 func(2.0)
-
-    def test_angle_list_rejected(self):
-        # one angle or an (N,) ndarray; a Python list is neither
-        with pytest.raises(ValueError, match="angle must be a real number, got list"):
-            optimal_fidelity([0.1, 0.2])
+            # one angle or an (N,) ndarray; a Python list is neither
+            with pytest.raises(ValueError, match="angle must be a real number, got list"):
+                func([0.1, 0.2])
 
 
 class TestShrinking:
