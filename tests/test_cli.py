@@ -79,6 +79,15 @@ class TestSweep:
         summary = capsys.readouterr().out
         assert "11 rows" in summary
 
+    def test_negative_zero_phi_min_reports_as_zero(self, tmp_path, capsys):
+        target = tmp_path / "sweep.csv"
+        runs = []
+        for text in ("-0.0", "0"):
+            argv = ["sweep", "--steps", "3", "--phi-min", text, "--out", str(target)]
+            runs.append((*run_cli(capsys, *argv), target.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "(phi from 0 to " in runs[0][1]
+
     def test_rows_revalidate_on_parse(self, tmp_path):
         target = tmp_path / "sweep.csv"
         assert main(["sweep", "--steps", "40", "--out", str(target)]) == 0
