@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -246,11 +247,17 @@ def _cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.command == "clone":
-        return _cmd_clone(args, parser)
-    return _cmd_verify(args, parser)
+    command = {"sweep": _cmd_sweep, "clone": _cmd_clone, "verify": _cmd_verify}[args.command]
+    try:
+        code = command(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``head`` does.  Point stdout
+        # at devnull so the interpreter's final flush prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

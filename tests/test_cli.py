@@ -336,3 +336,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "phi,fidelity_opt,eta_x,eta_z,a,b,c"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # a reader that stops early, as ``head -1`` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pairclone", "sweep", "--steps", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "phi,fidelity_opt,eta_x,eta_z,a,b,c\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, "")

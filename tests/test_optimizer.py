@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +168,7 @@ class TestNumericOracle:
             raise AssertionError("numeric_optimize allocated before validating")
 
         monkeypatch.setattr(optimizer.np, "empty", no_allocation)
+        monkeypatch.setattr(optimizer, "_first_round", no_allocation)
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=MAX_GRID_DENSITY + 1)
 
@@ -187,12 +190,20 @@ class TestNumericOracle:
 @pytest.mark.parametrize("grid_density", [64, 128, 256])
 def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     """Every round's nodes, on every window real searches visit, equal the
-    objective evaluated on a full meshgrid, byte for byte."""
-    evaluate_grid = optimizer._evaluate_grid
+    objective evaluated on a full meshgrid, byte for byte; the first
+    round's come from the cached terms."""
+    chart_terms, objective = optimizer._chart_terms, optimizer._objective
     windows = []
+    axes = None  # of the round being evaluated
 
-    def against_meshgrid(ts, us, cos2, sin2, buffers):
-        ff = evaluate_grid(ts, us, cos2, sin2, buffers)
+    def recording_axes(ts, us):
+        nonlocal axes
+        axes = ts, us
+        return chart_terms(ts, us)
+
+    def against_meshgrid(terms, cos2, sin2):
+        ff = objective(terms, cos2, sin2)
+        ts, us = axes
         tt, uu = np.meshgrid(ts, us, indexing="ij")
         sin_tt = np.sin(tt)
         aa = sin_tt * np.cos(uu)
@@ -203,14 +214,49 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
         assert ff.tobytes() == reference.tobytes(), windows[-1]
         return ff
 
-    monkeypatch.setattr(optimizer, "_evaluate_grid", against_meshgrid)
+    monkeypatch.setattr(optimizer, "_chart_terms", recording_axes)
+    monkeypatch.setattr(optimizer, "_objective", against_meshgrid)
+    full = np.linspace(0.0, math.pi / 2, grid_density + 1)
     seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 20)
+    hits = optimizer._first_round.cache_info().hits
     rounds = 0
     for phi in [0.0, math.pi / 4, math.pi / 2, *map(float, seeded)]:
+        axes = full, full
         report = numeric_optimize(phi, grid_density=grid_density)
         assert report.evaluations == (grid_density + 1) ** 2 + (report.rounds - 1) * 65**2
         rounds += report.rounds
     assert len(windows) == rounds
+    assert optimizer._first_round.cache_info().hits >= hits + 22
+
+
+class TestFirstRoundCache:
+    def test_empty_after_import(self):
+        probe = "import pairclone; print(pairclone.optimizer._first_round.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert proc.stdout == "0\n"
+
+    def test_one_miss_for_many_searches_at_one_grid(self):
+        optimizer._first_round.cache_clear()
+        for phi in np.linspace(0, math.pi / 2, 25):
+            numeric_optimize(float(phi), grid_density=256)
+        info = optimizer._first_round.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 24, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        ts, (half_diff, mixed) = optimizer._first_round(64)
+        for array in (ts, half_diff, mixed):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0.0
+
+    def test_reports_match_a_cleared_cache(self):
+        phis = [0.0, 0.37, math.pi / 4, 1.2]
+        cached = [numeric_optimize(phi, grid_density=grid) for grid in (64, 256, 64) for phi in phis]
+        fresh = []
+        for grid in (64, 256, 64):
+            for phi in phis:
+                optimizer._first_round.cache_clear()
+                fresh.append(numeric_optimize(phi, grid_density=grid))
+        assert cached == fresh
 
 
 # Within a few milliradians of an endpoint the first round's best node is
