@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     command = {"sweep": _cmd_sweep, "clone": _cmd_clone, "verify": _cmd_verify}[args.command]
     try:
         code = command(args, parser)
-        sys.stdout.flush()
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
     except BrokenPipeError:
         # The reader closed stdout early, as ``head`` does.  Point stdout
         # at devnull so the interpreter's final flush prints nothing.
