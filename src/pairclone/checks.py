@@ -10,6 +10,7 @@ since its accuracy is set by refinement depth, not roundoff.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,14 @@ def _grid_deviations(phis) -> dict:
     }
 
     # --- optimum: constraint, isometry, fidelities, shrinking ------------
-    a, b, c = coeffs = optimizer.optimal_coefficients_batch(phis)
+    f_opt, eta_x, eta_z, a, b, c = optimizer.optimum(phis)
+    coeffs = a, b, c
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
     gram = isometries.conj().transpose(0, 2, 1) @ isometries
-    f_opt = optimizer.optimal_fidelity(phis)
     f_closed = cloner.fidelity_closed_form(coeffs, phis)
-    eta = np.column_stack(optimizer.optimal_shrinking(phis))
-    _, mirrored = optimizer.optimal_shrinking(_HALF_PI - phis)
+    eta = np.column_stack((eta_x, eta_z))
+    mirrored = optimizer.optimum(_HALF_PI - phis)[2]
     formula = np.column_stack(cloner.shrinking_factors(coeffs))
     multipliers = optimizer.first_equation_multiplier(coeffs, phis)  # a >= 1/2 here
     residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multipliers, phis))
@@ -115,11 +116,17 @@ def run_checks(
     tolerance: float = 1e-10,
     oracle_grid: int = 256,
 ) -> list[CheckResult]:
-    """Run every library invariant and return one result per property."""
+    """Run every library invariant and return one result per property.
+    All three arguments are checked before any work is done."""
+    try:
+        grid = operator.index(grid)  # no silent truncation
+    except TypeError:
+        raise ValueError(f"grid must be an integer, got {grid!r}") from None
     if grid < 2:
         raise ValueError("grid must be at least 2")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
+    oracle_grid = optimizer.check_grid_density(oracle_grid)
     oracle_tolerance = tolerance * 100.0
 
     phis = np.linspace(0.0, _HALF_PI, grid)
@@ -141,20 +148,21 @@ def run_checks(
         results.append(_worst(name, deviations, tolerance, _at_phi(phis[list(indices)])))
 
     # --- copy symmetry and channel geometry on random states -------------
-    channel_phis = np.linspace(0.0, _HALF_PI, 25)
-    channel_coeffs = optimizer.optimal_coefficients_batch(channel_phis)
-    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(channel_phis), 100))
+    # (these 25 angles and their optimum serve the oracle block too)
+    coarse_phis = np.linspace(0.0, _HALF_PI, 25)
+    coarse_f, _, _, *coarse_coeffs = optimizer.optimum(coarse_phis)
+    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(coarse_phis), 100))
     kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
-    copies = cloner.clone_batch(cloner.isometry_batch(np.column_stack(channel_coeffs)), kets)
-    eta_x, eta_z = cloner.shrinking_factors(channel_coeffs)
+    copies = cloner.clone_batch(cloner.isometry_batch(np.column_stack(coarse_coeffs)), kets)
+    eta_x, eta_z = cloner.shrinking_factors(coarse_coeffs)
     m_expected = np.stack(
         [eta_x[:, None] * np.sin(thetas), np.zeros_like(thetas), eta_z[:, None] * np.cos(thetas)],
         axis=-1,
     )
-    at_channel = _at_phi(channel_phis)
-    results.append(_worst("copy 1 equals copy 2", np.abs(copies.copy1 - copies.copy2), tolerance, at_channel))
+    at_coarse = _at_phi(coarse_phis)
+    results.append(_worst("copy 1 equals copy 2", np.abs(copies.copy1 - copies.copy2), tolerance, at_coarse))
     m_out = linalg.bloch_vectors(copies.copy1)
-    results.append(_worst("channel Bloch contraction map", np.abs(m_out - m_expected), tolerance, at_channel))
+    results.append(_worst("channel Bloch contraction map", np.abs(m_out - m_expected), tolerance, at_coarse))
 
     # --- general fidelity formula over random feasible coefficients ------
     general, monotone, general_phis = [], [], []
@@ -197,12 +205,10 @@ def run_checks(
 
     # --- perfect-cloning endpoints ----------------------------------------
     ends = np.array([0.0, _HALF_PI])
-    perfect = list(np.abs(optimizer.optimal_fidelity(ends) - 1.0))
+    end_f, _, _, *end_coeffs = optimizer.optimum(ends)
+    perfect = list(np.abs(end_f - 1.0))
     states, _ = ensemble.family(ends[:1])
-    at_zero = cloner.clone_batch(
-        cloner.isometry_batch(np.column_stack(optimizer.optimal_coefficients_batch(ends[:1]))),
-        states,
-    )
+    at_zero = cloner.clone_batch(cloner.isometry_batch(np.column_stack(end_coeffs)[:1]), states)
     projectors = states[..., :, None] * states[..., None, :].conj()
     perfect.append(np.max(np.abs(at_zero.copy1 - projectors)))
     perfect.append(np.max(np.abs(at_zero.fidelities - 1.0)))
@@ -211,7 +217,7 @@ def run_checks(
 
     # --- worst case sits at the centre of the range ------------------------
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
-    values = optimizer.optimal_fidelity(fine)
+    values = optimizer.optimum(fine)[0]
     argmin = int(np.argmin(values))
     step = fine[1] - fine[0]
     results.append(
@@ -224,14 +230,10 @@ def run_checks(
     )
 
     # --- independent grid-search oracle ------------------------------------
-    oracle_phis = np.linspace(0.0, _HALF_PI, 25)
-    closed_f = optimizer.optimal_fidelity(oracle_phis)
-    closed_c = np.column_stack(optimizer.optimal_coefficients_batch(oracle_phis))
-    searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in oracle_phis]
-    oracle_f = np.abs([search.best_fidelity for search in searches] - closed_f)
-    oracle_c = np.abs([tuple(search.best_coeffs) for search in searches] - closed_c)
-    at_oracle = _at_phi(oracle_phis)
-    results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_oracle))
-    results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_oracle))
+    searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in coarse_phis]
+    oracle_f = np.abs([search.best_fidelity for search in searches] - coarse_f)
+    oracle_c = np.abs([tuple(search.best_coeffs) for search in searches] - np.column_stack(coarse_coeffs))
+    results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_coarse))
+    results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_coarse))
 
     return results

@@ -23,9 +23,7 @@ from .optimizer import (
     MAX_GRID_DENSITY,
     MIN_GRID_DENSITY,
     numeric_optimize,
-    optimal_coefficients_batch,
-    optimal_fidelity,
-    optimal_shrinking,
+    optimum,
 )
 from .report import build_clone_report, format_clone_report
 
@@ -173,9 +171,7 @@ def _write_sweep(args, handle) -> None:
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     for start in range(0, len(phis), _SWEEP_BLOCK):
         block = phis[start:start + _SWEEP_BLOCK]
-        a, b, c = optimal_coefficients_batch(block)
-        columns = [block, optimal_fidelity(block), *optimal_shrinking(block), a, b, c]
-        columns = [column.tolist() for column in columns]
+        columns = [column.tolist() for column in (block, *optimum(block))]
         if args.with_oracle:
             columns.append([
                 numeric_optimize(phi, grid_density=args.oracle_grid).best_fidelity

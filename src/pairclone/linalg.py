@@ -9,6 +9,8 @@ qubits the basis index is ``i0*4 + i1*2 + i2``, matching nested
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Dimensions admitted for any vector or operator handled here.
@@ -87,7 +89,10 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     rho = as_matrix(rho, "rho")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho must be square, got shape {rho.shape}")
-    dims = [int(d) for d in dims]
+    try:
+        dims = [operator.index(d) for d in dims]  # no silent truncation
+    except TypeError:
+        raise ValueError(f"subsystem dimensions must be integers, got {dims!r}") from None
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     total = int(np.prod(dims))

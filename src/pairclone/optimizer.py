@@ -67,39 +67,36 @@ class NumericSearchReport:
     rounds: int
 
 
-# optimal_coefficients_batch is the only ``*_batch`` name, because
-# optimal_coefficients returns a validated :class:`ClonerCoefficients`.
+def optimum(phis):
+    """The closed-form optimum at angle ``phis``: (F, eta_x, eta_z, a, b, c),
+    six floats for one angle or six (N,) arrays for an (N,) array, in the
+    column order of the ``sweep`` CSV.
+
+    eta_x = K sin^2 phi and eta_z = K cos^2 phi are the optimal cloner's
+    shrinking factors; they satisfy eta_x^2 + eta_z^2 = 1 and
+    eta_x(phi) = eta_z(pi/2 - phi).
+    """
+    sin2, cos2, root = angle_terms(phis)
+    k = 1.0 / root  # root >= 1/sqrt(2) on the whole domain, so never singular
+    eta_x, eta_z = sin2 * k, cos2 * k
+    return 0.5 * (1.0 + root), eta_x, eta_z, 0.5 * (1.0 + eta_z), 0.5 * sin2 * k, 0.5 * (1.0 - eta_z)
 
 
 def optimal_coefficients(phi: float) -> ClonerCoefficients:
     """Fidelity-maximising coefficients at angle ``phi``."""
-    return ClonerCoefficients(*optimal_coefficients_batch(phi))
-
-
-def optimal_coefficients_batch(phis):
-    """Coefficients (a, b, c) of :func:`optimal_coefficients` at each angle
-    of ``phis``: three (N,) arrays, or three floats for one angle."""
-    sin2, cos2, root = angle_terms(phis)
-    k = 1.0 / root  # root >= 1/sqrt(2) on the whole domain, so never singular
-    return 0.5 * (1.0 + cos2 * k), 0.5 * sin2 * k, 0.5 * (1.0 - cos2 * k)
+    return ClonerCoefficients(*optimum(phi)[3:])
 
 
 def optimal_fidelity(phi: float | np.ndarray) -> float | np.ndarray:
     """Maximum achievable copy fidelity at angle ``phi``, or at each angle
     of an (N,) array."""
-    _, _, root = angle_terms(phi)
-    return 0.5 * (1.0 + root)
+    return optimum(phi)[0]
 
 
 def optimal_shrinking(phi: float | np.ndarray) -> tuple:
-    """Shrinking factors of the optimal cloner: (K sin^2 phi, K cos^2 phi),
-    two floats for one angle or two (N,) arrays for an (N,) array.
-
-    They satisfy eta_x^2 + eta_z^2 = 1 and eta_x(phi) = eta_z(pi/2 - phi).
-    """
-    sin2, cos2, root = angle_terms(phi)
-    k = 1.0 / root
-    return sin2 * k, cos2 * k
+    """Shrinking factors (eta_x, eta_z) of :func:`optimum`, two floats for
+    one angle or two (N,) arrays for an (N,) array."""
+    return optimum(phi)[1:3]
 
 
 def lagrange_residual(coeffs, multiplier, phi):
@@ -183,6 +180,21 @@ def _first_round(grid_density: int) -> tuple:
     return ts, terms
 
 
+def check_grid_density(grid_density) -> int:
+    """``grid_density`` as an int, if it is an integer in
+    [MIN_GRID_DENSITY, MAX_GRID_DENSITY]; otherwise ValueError."""
+    try:
+        grid_density = operator.index(grid_density)  # no silent truncation
+    except TypeError:
+        raise ValueError(f"grid_density must be an integer, got {grid_density!r}") from None
+    if not MIN_GRID_DENSITY <= grid_density <= MAX_GRID_DENSITY:
+        raise ValueError(
+            f"grid_density must be between {MIN_GRID_DENSITY} and "
+            f"{MAX_GRID_DENSITY}, got {grid_density}"
+        )
+    return grid_density
+
+
 def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport:
     """Maximise the closed-form fidelity over the constraint surface by
     nested grid refinement, independently of the closed-form solution.
@@ -217,15 +229,7 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     256 and 67 MB at 2048).
     """
     phi = check_angle(phi)
-    try:
-        grid_density = operator.index(grid_density)  # no silent truncation
-    except TypeError:
-        raise ValueError(f"grid_density must be an integer, got {grid_density!r}") from None
-    if not MIN_GRID_DENSITY <= grid_density <= MAX_GRID_DENSITY:
-        raise ValueError(
-            f"grid_density must be between {MIN_GRID_DENSITY} and "
-            f"{MAX_GRID_DENSITY}, got {grid_density}"
-        )
+    grid_density = check_grid_density(grid_density)
 
     cos2 = math.cos(phi) ** 2
     sin2 = math.sin(phi) ** 2

@@ -10,15 +10,16 @@ from pairclone.checks import run_checks
 EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
 
 
-def _dip_beside_quarter_pi(values, phis):
-    # a 1e-6 dip 1e-3 below pi/4, where F is within 1e-6 of its minimum
-    return values - EPS * (np.abs(phis - (math.pi / 4 - 1e-3)) < 2e-4)
+def _dip_beside_quarter_pi(out, phis):
+    # F of the optimum with a 1e-6 dip 1e-3 below pi/4, where F is within
+    # 1e-6 of its minimum
+    return (out[0] - EPS * (np.abs(phis - (math.pi / 4 - 1e-3)) < 2e-4), *out[1:])
 
 
 # (module, function, perturbation of its result given its arguments, the
 # properties that must then fail); at least one from each of acceptance
 # criteria 2-9.  tests/test_cli.py covers a plain 1e-6 shift and a NaN in
-# optimizer.optimal_fidelity.
+# the fidelity of optimizer.optimum.
 MUTATIONS = [
     pytest.param(
         cloner, "clone_batch",
@@ -50,12 +51,12 @@ MUTATIONS = [
         id="C6-shrinking_factors",
     ),
     pytest.param(
-        optimizer, "optimal_shrinking", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        optimizer, "optimum", lambda out, *_: (out[0], out[1] * (1 + EPS), *out[2:]),
         ["shrinking factor identities", "shrinking reflection symmetry"],
         id="C6-optimal_shrinking",
     ),
     pytest.param(
-        optimizer, "optimal_fidelity", _dip_beside_quarter_pi,
+        optimizer, "optimum", _dip_beside_quarter_pi,
         ["fidelity minimum at pi/4"],
         id="C7-optimal_fidelity-dip",
     ),
@@ -101,13 +102,17 @@ def test_impossible_tolerance_fails():
     assert all("[FAIL]" in r.line() for r in failing)
 
 
-def test_parameters_validated():
-    with pytest.raises(ValueError):
-        run_checks(grid=1)
-    with pytest.raises(ValueError):
-        run_checks(tolerance=0.0)
-    with pytest.raises(ValueError):
-        run_checks(tolerance=float("inf"))
+def test_parameters_validated(monkeypatch):
+    def no_work(_):
+        raise AssertionError("a check block ran before the arguments were checked")
+
+    monkeypatch.setattr(checks, "_grid_deviations", no_work)
+    for bad in [
+        dict(grid=1), dict(grid=2.5), dict(tolerance=0.0), dict(tolerance=float("inf")),
+        dict(oracle_grid=10), dict(oracle_grid=64.0),
+    ]:
+        with pytest.raises(ValueError):
+            run_checks(**bad)
 
 
 def test_grid_blocks_do_not_change_results(monkeypatch):

@@ -245,16 +245,17 @@ class TestVerify:
         assert "--oracle-grid" in capsys.readouterr().err
 
     def test_nan_deviation_fails_closed(self, capsys, monkeypatch):
+        exact = optimizer.optimum
         monkeypatch.setattr(
-            optimizer, "optimal_fidelity", lambda phis: np.full(len(phis), math.nan)
+            optimizer, "optimum", lambda phis: (np.full(len(phis), math.nan), *exact(phis)[1:])
         )
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
 
     def test_perturbed_closed_form_fails(self, capsys, monkeypatch):
-        exact = optimizer.optimal_fidelity
-        monkeypatch.setattr(optimizer, "optimal_fidelity", lambda phis: exact(phis) + 1e-6)
+        exact = optimizer.optimum
+        monkeypatch.setattr(optimizer, "optimum", lambda phis: (exact(phis)[0] + 1e-6, *exact(phis)[1:]))
         code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out

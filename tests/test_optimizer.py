@@ -328,12 +328,7 @@ def samples():
     return coeffs, phis, columns
 
 
-def test_array_optimal_coefficients_match_scalar_bits(samples):
-    coeffs = samples[0][: len(PINNED)]
-    _same_bits(optimizer.optimal_coefficients_batch(PINNED), list(map(tuple, coeffs)))
-
-
-@pytest.mark.parametrize("closed_form", [optimal_fidelity, optimal_shrinking])
+@pytest.mark.parametrize("closed_form", [optimal_fidelity, optimal_shrinking, optimizer.optimum])
 def test_array_closed_forms_match_scalar_bits(closed_form):
     _same_bits(closed_form(PINNED), list(map(closed_form, PINNED.tolist())))
 
