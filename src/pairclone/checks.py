@@ -85,8 +85,7 @@ def _grid_deviations(phis) -> dict:
     }
 
     # --- optimum: constraint, isometry, fidelities, shrinking ------------
-    f_opt, eta_x, eta_z, a, b, c = optimizer.optimum(phis)
-    coeffs = a, b, c
+    f_opt, eta_x, eta_z, *coeffs = optimizer.optimum(phis)
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
     gram = isometries.conj().transpose(0, 2, 1) @ isometries
@@ -97,7 +96,7 @@ def _grid_deviations(phis) -> dict:
     multipliers = optimizer.first_equation_multiplier(coeffs, phis)  # a >= 1/2 here
     residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multipliers, phis))
     deviations.update({
-        "optimal coefficient constraint": np.abs(cloner.constraint_defect(a, b, c)),
+        "optimal coefficient constraint": np.abs(cloner.constraint_defect(*coeffs)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
         "four fidelities equal": np.max(fids, axis=1) - np.min(fids, axis=1),
         "simulation matches optimal fidelity": np.abs(fids - f_opt[:, None]),

@@ -91,8 +91,11 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
         raise ValueError(f"rho must be square, got shape {rho.shape}")
     try:
         dims = [operator.index(d) for d in dims]  # no silent truncation
+        keep = operator.index(keep)
     except TypeError:
-        raise ValueError(f"subsystem dimensions must be integers, got {dims!r}") from None
+        raise ValueError(
+            f"subsystem dimensions and keep must be integers, got {dims!r} and {keep!r}"
+        ) from None
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     total = int(np.prod(dims))

@@ -139,6 +139,8 @@ class TestPartialTrace:
         # 2.9 x 2.2 would truncate to 2 x 2 and match a 4 x 4 rho
         with pytest.raises(ValueError, match="integers"):
             partial_trace(np.eye(4, dtype=complex), [2.9, 2.2], 0)
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(np.eye(4, dtype=complex), [2, 2], 0.5)
 
 
 class TestBlochMaps:
