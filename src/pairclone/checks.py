@@ -164,21 +164,16 @@ def run_checks(
     results.append(_worst("channel Bloch contraction map", np.abs(m_out - m_expected), tolerance, at_coarse))
 
     # --- general fidelity formula over random feasible coefficients ------
-    general, monotone, general_phis = [], [], []
-    maximal = cloner.OverlapSet.maximal()
-    for _ in range(1000):
-        t, u = rng.uniform(0.0, _HALF_PI, size=2)
-        cc = cloner.ClonerCoefficients(
-            a=math.sin(t) * math.cos(u),
-            b=math.cos(t) / math.sqrt(2),
-            c=math.sin(t) * math.sin(u),
-        )
-        phi = float(rng.uniform(0.0, _HALF_PI))
-        general_phis.append(phi)
-        at_max = cloner.fidelity_general(cc, phi, maximal)
-        general.append(abs(at_max - cloner.fidelity_closed_form(cc, phi)))
-        sub = cloner.OverlapSet(*rng.uniform(-2.0, 2.0, size=2))
-        monotone.append(max(0.0, cloner.fidelity_general(cc, phi, sub) - at_max))
+    # (t, u) chart the constraint surface; draws in the order t, u, phi,
+    # re_ab, re_bc per sample
+    t, u, general_phis, re_ab, re_bc = rng.uniform(
+        [0.0, 0.0, 0.0, -2.0, -2.0], [_HALF_PI, _HALF_PI, _HALF_PI, 2.0, 2.0], size=(1000, 5)
+    ).T
+    surface = (np.sin(t) * np.cos(u), np.cos(t) / math.sqrt(2), np.sin(t) * np.sin(u))
+    at_max = cloner.fidelity_general(surface, general_phis, cloner.OverlapSet.maximal())
+    general = np.abs(at_max - cloner.fidelity_closed_form(surface, general_phis))
+    sub = cloner.fidelity_general(surface, general_phis, (re_ab, re_bc))
+    monotone = np.maximum(0.0, sub - at_max)
     at_general = _at_phi(general_phis)
     results.append(_worst("general formula at maximal overlaps", general, tolerance, at_general))
     results.append(_worst("overlaps below maximum never help", monotone, tolerance, at_general))

@@ -19,12 +19,7 @@ import numpy as np
 from .checks import run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
-from .optimizer import (
-    MAX_GRID_DENSITY,
-    MIN_GRID_DENSITY,
-    numeric_optimize,
-    optimum,
-)
+from .optimizer import check_grid_density, numeric_optimize, optimum
 from .report import build_clone_report, format_clone_report
 
 # Largest --steps of sweep and verify.  At the cap a whole command peaked at
@@ -93,11 +88,10 @@ def _check_steps(args, parser) -> None:
 
 
 def _check_oracle_grid(args, parser) -> None:
-    if not MIN_GRID_DENSITY <= args.oracle_grid <= MAX_GRID_DENSITY:
-        parser.error(
-            f"--oracle-grid must be between {MIN_GRID_DENSITY} and {MAX_GRID_DENSITY}, "
-            f"got {args.oracle_grid}"
-        )
+    try:
+        check_grid_density(args.oracle_grid, "--oracle-grid")
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _fmt(value: float) -> str:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensemble import angle_terms, check_angle
+from .ensemble import angle_terms
 from .linalg import (
     ATOL_INPUT,
     KET_0,
@@ -131,7 +131,9 @@ class OverlapSet:
     Re<anc_b0|anc_c1> + Re<anc_c0|anc_b1>; each is bounded by 2 in
     magnitude since all kets are unit vectors.  The formula holds for
     ancillas that are the default assignment up to one common unitary and
-    a phase on each ket; see :meth:`from_ancilla`.
+    a phase on each ket; see :meth:`from_ancilla`.  Iterating yields
+    re_ab, re_bc, so ``re_ab, re_bc = overlaps`` unpacks it just as it
+    unpacks two (N,) arrays.
     """
 
     re_ab: float
@@ -180,6 +182,9 @@ class OverlapSet:
             + np.vdot(ancilla.anc_c0, ancilla.anc_b1).real
         )
         return cls(re_ab=re_ab, re_bc=re_bc)
+
+    def __iter__(self):
+        return iter((self.re_ab, self.re_bc))
 
 
 def build_isometry(
@@ -268,9 +273,7 @@ def fidelity_closed_form(coeffs, phi):
     return 0.5 + 0.5 * (a * a - c * c) * cos2 + b * (a + c) * sin2
 
 
-def fidelity_general(
-    coeffs: ClonerCoefficients, phi: float, overlaps: OverlapSet
-) -> float:
+def fidelity_general(coeffs, phi, overlaps):
     """Copy fidelity for the overlap sums of an ancilla assignment that is
     the default one up to a common unitary and a phase on each ket (the
     domain :meth:`OverlapSet.from_ancilla` admits):
@@ -278,18 +281,24 @@ def fidelity_general(
         F = a^2 (alpha^4 + beta^4) + 2 c^2 alpha^2 beta^2 + b^2
             + alpha^2 beta^2 (2 a b re_ab + 2 b c re_bc)
 
-    with alpha = cos(phi/2), beta = sin(phi/2).  At the maximal overlaps
-    (re_ab = re_bc = 2) this coincides with :func:`fidelity_closed_form`.
+    with alpha = cos(phi/2), beta = sin(phi/2), so alpha^2 beta^2 =
+    sin^2(phi) / 4 and alpha^4 + beta^4 = 1 - sin^2(phi) / 2.  Coefficients
+    are a :class:`ClonerCoefficients` or three (N,) arrays, overlaps an
+    :class:`OverlapSet` or two (N,) arrays re_ab, re_bc, at one angle or
+    an (N,) array of angles.  It validates the angles
+    (:func:`ensemble.angle_terms`), not the coefficients or overlaps.  At
+    the maximal overlaps (re_ab = re_bc = 2) this coincides with
+    :func:`fidelity_closed_form`.
     """
-    phi = check_angle(phi)
     a, b, c = coeffs
-    al2 = math.cos(phi / 2) ** 2
-    be2 = math.sin(phi / 2) ** 2
+    re_ab, re_bc = overlaps
+    sin2, _, _ = angle_terms(phi)
+    al2_be2 = 0.25 * sin2
     return (
-        a * a * (al2 * al2 + be2 * be2)
-        + 2 * c * c * al2 * be2
+        a * a * (1.0 - 0.5 * sin2)
+        + 2 * c * c * al2_be2
         + b * b
-        + al2 * be2 * (2 * a * b * overlaps.re_ab + 2 * b * c * overlaps.re_bc)
+        + al2_be2 * (2 * a * b * re_ab + 2 * b * c * re_bc)
     )
 
 

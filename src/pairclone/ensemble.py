@@ -57,8 +57,8 @@ def angle_terms(phis):
     for an (N,) array.
 
     Every closed form in phi (the optimum, its fidelity and shrinking
-    factors, the stationarity equations and the closed-form fidelity)
-    starts from these and goes on with + - * / alone, so one body serves
+    factors, the stationarity equations, the closed-form fidelity and the
+    general fidelity for any overlap sums) starts from these and goes on with + - * / alone, so one body serves
     a float and an array with the same bits.
     Two rules keep it so.  Each sine, cosine and power is taken element by
     element with ``math.sin``, ``math.cos`` and Python's float ``**``

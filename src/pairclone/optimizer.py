@@ -180,16 +180,17 @@ def _first_round(grid_density: int) -> tuple:
     return ts, terms
 
 
-def check_grid_density(grid_density) -> int:
+def check_grid_density(grid_density, name: str = "grid_density") -> int:
     """``grid_density`` as an int, if it is an integer in
-    [MIN_GRID_DENSITY, MAX_GRID_DENSITY]; otherwise ValueError."""
+    [MIN_GRID_DENSITY, MAX_GRID_DENSITY]; otherwise ValueError, whose
+    message calls the value ``name``."""
     try:
         grid_density = operator.index(grid_density)  # no silent truncation
     except TypeError:
-        raise ValueError(f"grid_density must be an integer, got {grid_density!r}") from None
+        raise ValueError(f"{name} must be an integer, got {grid_density!r}") from None
     if not MIN_GRID_DENSITY <= grid_density <= MAX_GRID_DENSITY:
         raise ValueError(
-            f"grid_density must be between {MIN_GRID_DENSITY} and "
+            f"{name} must be between {MIN_GRID_DENSITY} and "
             f"{MAX_GRID_DENSITY}, got {grid_density}"
         )
     return grid_density

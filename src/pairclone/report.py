@@ -23,12 +23,7 @@ from .cloner import (
 )
 from .ensemble import check_angle, family
 from .linalg import KET_0, bloch_vectors
-from .optimizer import (
-    lagrange_residual,
-    optimal_coefficients,
-    optimal_fidelity,
-    recover_multiplier,
-)
+from .optimizer import lagrange_residual, optimum, recover_multiplier
 
 # Channel contraction is measured on probe states: |+> reads off the x
 # factor, |0> the z factor.
@@ -61,8 +56,9 @@ def build_clone_report(
     """
     phi = check_angle(phi)
     used_optimum = coeffs is None
+    best_fidelity, _, _, *best = optimum(phi)
     if coeffs is None:
-        coeffs = optimal_coefficients(phi)
+        coeffs = ClonerCoefficients(*best)
 
     states, bloch = family([phi])
     bloch.setflags(write=False)
@@ -85,7 +81,7 @@ def build_clone_report(
         input_bloch=tuple(bloch[0]),
         simulated_fidelities=tuple(float(f) for f in fidelities),
         formula_fidelity=fidelity_closed_form(coeffs, phi),
-        best_possible_fidelity=optimal_fidelity(phi),
+        best_possible_fidelity=best_fidelity,
         formula_eta=shrinking_factors(coeffs),
         simulated_eta=simulated_eta,
         residuals=tuple(residuals),
