@@ -11,7 +11,6 @@ from .checks import CheckResult, run_checks
 from .cloner import (
     AncillaAssignment,
     ClonerCoefficients,
-    OverlapSet,
     UnitarityError,
     apply_cloner,
     build_isometry,
@@ -50,7 +49,6 @@ __all__ = [
     "ConvergenceError",
     "FourStateEnsemble",
     "NumericSearchReport",
-    "OverlapSet",
     "UnitarityError",
     "apply_cloner",
     "bloch_from_density",

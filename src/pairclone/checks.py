@@ -20,6 +20,7 @@ from . import cloner, ensemble, linalg, optimizer
 _HALF_PI = math.pi / 2
 _SEED = 20260808
 _BLOCK = 1024  # angles per kernel call in the grid sweep
+_ORACLE_FACTOR = 100.0  # the oracle's tolerance is this multiple of the base one
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,15 @@ def _grid_deviations(phis) -> dict:
     return {name: _per_sample(d) for name, d in deviations.items()}
 
 
+def check_tolerance(tolerance) -> float:
+    """``tolerance`` as a float, if it and the oracle's tolerance, 100x it,
+    are positive and finite; otherwise ValueError."""
+    tolerance = float(tolerance)
+    if not (tolerance > 0 and math.isfinite(tolerance * _ORACLE_FACTOR)):
+        raise ValueError(f"tolerance and 100x it must be positive and finite, got {tolerance!r}")
+    return tolerance
+
+
 def run_checks(
     grid: int = 1000,
     tolerance: float = 1e-10,
@@ -123,10 +133,9 @@ def run_checks(
         raise ValueError(f"grid must be an integer, got {grid!r}") from None
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be positive and finite")
+    tolerance = check_tolerance(tolerance)
     oracle_grid = optimizer.check_grid_density(oracle_grid)
-    oracle_tolerance = tolerance * 100.0
+    oracle_tolerance = tolerance * _ORACLE_FACTOR
 
     phis = np.linspace(0.0, _HALF_PI, grid)
     rng = np.random.default_rng(_SEED)
@@ -170,7 +179,7 @@ def run_checks(
         [0.0, 0.0, 0.0, -2.0, -2.0], [_HALF_PI, _HALF_PI, _HALF_PI, 2.0, 2.0], size=(1000, 5)
     ).T
     surface = (np.sin(t) * np.cos(u), np.cos(t) / math.sqrt(2), np.sin(t) * np.sin(u))
-    at_max = cloner.fidelity_general(surface, general_phis, cloner.OverlapSet.maximal())
+    at_max = cloner.fidelity_general(surface, general_phis, (2.0, 2.0))
     general = np.abs(at_max - cloner.fidelity_closed_form(surface, general_phis))
     sub = cloner.fidelity_general(surface, general_phis, (re_ab, re_bc))
     monotone = np.maximum(0.0, sub - at_max)
@@ -210,16 +219,18 @@ def run_checks(
     results.append(_worst("perfect cloning at the endpoints", perfect, tolerance, where.__getitem__))
 
     # --- worst case sits at the centre of the range ------------------------
+    # Fails closed: a non-finite value, where argmin would land, gives NaN.
     fine = np.linspace(0.0, _HALF_PI, 15709)  # ~1e-4 resolution
     values = optimizer.optimum(fine)[0]
-    argmin = int(np.argmin(values))
+    broken = np.flatnonzero(~np.isfinite(values))
+    index = int(broken[0]) if len(broken) else int(np.argmin(values))
     step = fine[1] - fine[0]
     results.append(
         CheckResult(
             "fidelity minimum at pi/4",
-            abs(float(fine[argmin]) - math.pi / 4),
+            math.nan if len(broken) else abs(float(fine[index]) - math.pi / 4),
             float(step),
-            f"phi={fine[argmin]:.6g}",
+            f"phi={fine[index]:.6g}",
         )
     )
 

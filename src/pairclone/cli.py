@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .checks import run_checks
+from .checks import check_tolerance, run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
 from .optimizer import check_grid_density, numeric_optimize, optimum
@@ -74,12 +74,9 @@ def _coeffs_argument(text: str) -> tuple[float, float, float]:
 
 def _tolerance_argument(text: str) -> float:
     try:
-        value = float(text)
+        return check_tolerance(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
 
 
 def _check_steps(args, parser) -> None:

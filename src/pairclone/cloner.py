@@ -123,70 +123,6 @@ class AncillaAssignment:
         )
 
 
-@dataclass(frozen=True)
-class OverlapSet:
-    """The two ancilla-overlap sums entering the general fidelity formula.
-
-    ``re_ab`` is Re<anc_a0|anc_b1> + Re<anc_b0|anc_a1> and ``re_bc`` is
-    Re<anc_b0|anc_c1> + Re<anc_c0|anc_b1>; each is bounded by 2 in
-    magnitude since all kets are unit vectors.  The formula holds for
-    ancillas that are the default assignment up to one common unitary and
-    a phase on each ket; see :meth:`from_ancilla`.  Iterating yields
-    re_ab, re_bc, so ``re_ab, re_bc = overlaps`` unpacks it just as it
-    unpacks two (N,) arrays.
-    """
-
-    re_ab: float
-    re_bc: float
-
-    def __post_init__(self):
-        for name in ("re_ab", "re_bc"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or abs(value) > 2.0:
-                raise ValueError(f"{name} must lie in [-2, 2], got {value}")
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def maximal(cls) -> "OverlapSet":
-        return cls(re_ab=2.0, re_bc=2.0)
-
-    @classmethod
-    def from_ancilla(cls, ancilla: AncillaAssignment) -> "OverlapSet":
-        """Overlap sums of an assignment inside the formula's domain.
-
-        The formula drops the within-column overlaps, so it holds only when
-        <anc_a0|anc_b0>, <anc_b0|anc_c0>, <anc_a1|anc_b1>, <anc_b1|anc_c1>
-        and <anc_a0|anc_a1> vanish: in two dimensions that is the default
-        assignment up to one common unitary and a phase on each ket.  Any
-        other assignment raises ``ValueError``.
-        """
-        for bra, ket in (
-            ("anc_a0", "anc_b0"),
-            ("anc_b0", "anc_c0"),
-            ("anc_a1", "anc_b1"),
-            ("anc_b1", "anc_c1"),
-            ("anc_a0", "anc_a1"),
-        ):
-            overlap = abs(np.vdot(getattr(ancilla, bra), getattr(ancilla, ket)))
-            if overlap > 1e-12:
-                raise ValueError(
-                    f"<{bra}|{ket}> = {overlap:.3e} is not 0: the general "
-                    "fidelity formula does not cover this ancilla assignment"
-                )
-        re_ab = float(
-            np.vdot(ancilla.anc_a0, ancilla.anc_b1).real
-            + np.vdot(ancilla.anc_b0, ancilla.anc_a1).real
-        )
-        re_bc = float(
-            np.vdot(ancilla.anc_b0, ancilla.anc_c1).real
-            + np.vdot(ancilla.anc_c0, ancilla.anc_b1).real
-        )
-        return cls(re_ab=re_ab, re_bc=re_bc)
-
-    def __iter__(self):
-        return iter((self.re_ab, self.re_bc))
-
-
 def build_isometry(
     coeffs: ClonerCoefficients, ancilla: AncillaAssignment | None = None
 ) -> np.ndarray:
@@ -274,21 +210,21 @@ def fidelity_closed_form(coeffs, phi):
 
 
 def fidelity_general(coeffs, phi, overlaps):
-    """Copy fidelity for the overlap sums of an ancilla assignment that is
-    the default one up to a common unitary and a phase on each ket (the
-    domain :meth:`OverlapSet.from_ancilla` admits):
+    """Copy fidelity for the ancilla-overlap sums re_ab = Re<anc_a0|anc_b1>
+    + Re<anc_b0|anc_a1> and re_bc = Re<anc_b0|anc_c1> + Re<anc_c0|anc_b1>:
 
         F = a^2 (alpha^4 + beta^4) + 2 c^2 alpha^2 beta^2 + b^2
             + alpha^2 beta^2 (2 a b re_ab + 2 b c re_bc)
 
     with alpha = cos(phi/2), beta = sin(phi/2), so alpha^2 beta^2 =
-    sin^2(phi) / 4 and alpha^4 + beta^4 = 1 - sin^2(phi) / 2.  Coefficients
-    are a :class:`ClonerCoefficients` or three (N,) arrays, overlaps an
-    :class:`OverlapSet` or two (N,) arrays re_ab, re_bc, at one angle or
-    an (N,) array of angles.  It validates the angles
-    (:func:`ensemble.angle_terms`), not the coefficients or overlaps.  At
-    the maximal overlaps (re_ab = re_bc = 2) this coincides with
-    :func:`fidelity_closed_form`.
+    sin^2(phi) / 4 and alpha^4 + beta^4 = 1 - sin^2(phi) / 2.  It drops the
+    within-column overlaps, so it covers only ancillas that are the default
+    assignment up to one common unitary and a phase on each ket.
+    Coefficients are a :class:`ClonerCoefficients` or three (N,) arrays,
+    overlaps two floats or two (N,) arrays, at one angle or an (N,) array
+    of angles.  It validates the angles (:func:`ensemble.angle_terms`), not
+    the coefficients or overlaps.  At the maximal overlaps (2.0, 2.0), those
+    of the default assignment, it coincides with :func:`fidelity_closed_form`.
     """
     a, b, c = coeffs
     re_ab, re_bc = overlaps

@@ -229,11 +229,10 @@ def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport
     replaces them (two (grid_density + 1)^2 float64 arrays, 1.06 MB at
     256 and 67 MB at 2048).
     """
-    phi = check_angle(phi)
+    phi = check_angle(phi)  # one angle: angle_terms alone would take an array
     grid_density = check_grid_density(grid_density)
 
-    cos2 = math.cos(phi) ** 2
-    sin2 = math.sin(phi) ** 2
+    sin2, cos2, _ = angle_terms(phi)
     half_pi = math.pi / 2
     ts, terms = _first_round(grid_density)
     us = ts

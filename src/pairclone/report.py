@@ -52,13 +52,16 @@ def build_clone_report(
     """Clone all four ensemble states at ``phi`` and collect every figure
     of merit, formula and simulation side by side.
 
-    With ``coeffs`` omitted the closed-form optimal coefficients are used.
+    With ``coeffs`` omitted the closed-form optimum is used; any other
+    (a, b, c) is validated as a :class:`ClonerCoefficients`.
     """
     phi = check_angle(phi)
     used_optimum = coeffs is None
     best_fidelity, _, _, *best = optimum(phi)
     if coeffs is None:
         coeffs = ClonerCoefficients(*best)
+    elif not isinstance(coeffs, ClonerCoefficients):
+        coeffs = ClonerCoefficients(*coeffs)
 
     states, bloch = family([phi])
     bloch.setflags(write=False)

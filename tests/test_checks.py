@@ -10,6 +10,11 @@ from pairclone.checks import run_checks
 EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
 
 
+def _nan_at_quarter_pi(out, phis):
+    # F of the optimum NaN at pi/4 itself, where argmin of F would land
+    return (np.where(phis == math.pi / 4, math.nan, out[0]), *out[1:])
+
+
 def _dip_beside_quarter_pi(out, phis):
     # F of the optimum with a 1e-6 dip 1e-3 below pi/4, where F is within
     # 1e-6 of its minimum
@@ -61,6 +66,11 @@ MUTATIONS = [
         id="C7-optimal_fidelity-dip",
     ),
     pytest.param(
+        optimizer, "optimum", _nan_at_quarter_pi,
+        ["fidelity minimum at pi/4"],
+        id="C7-optimal_fidelity-nan-at-quarter-pi",
+    ),
+    pytest.param(
         cloner, "clone_batch", lambda out, *_: out._replace(copy1=out.copy1 * (1 + EPS)),
         ["perfect cloning at the endpoints", "copy 1 equals copy 2"],
         id="C8-clone_batch-copy1",
@@ -110,6 +120,7 @@ def test_parameters_validated(monkeypatch):
     monkeypatch.setattr(checks, "_grid_deviations", no_work)
     for bad in [
         dict(grid=1), dict(grid=2.5), dict(tolerance=0.0), dict(tolerance=float("inf")),
+        dict(tolerance=1e307),  # finite, but the oracle's 100x is not
         dict(oracle_grid=10), dict(oracle_grid=64.0),
     ]:
         with pytest.raises(ValueError):

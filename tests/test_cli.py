@@ -231,7 +231,8 @@ class TestVerify:
             main(["verify", "--tolerance", "-1"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("value", ["inf", "nan"])
+    # 1e307 is finite, but the oracle's tolerance, 100x it, is not
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e307"])
     def test_non_finite_tolerance_is_usage_error(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--steps", "30", "--oracle-grid", "64", "--tolerance", value])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pairclone import cloner, optimizer
-from pairclone.cloner import ClonerCoefficients, OverlapSet, fidelity_closed_form
+from pairclone.cloner import ClonerCoefficients, fidelity_closed_form
 from pairclone.ensemble import angle_terms
 from pairclone.optimizer import (
     MAX_GRID_DENSITY,
@@ -336,9 +336,9 @@ def test_array_closed_forms_match_scalar_bits(closed_form):
 @pytest.fixture(scope="module")
 def overlaps(samples):
     """Seeded overlap sums below the maximum, one pair per sample: as
-    OverlapSets and as the two arrays re_ab, re_bc."""
+    float pairs and as the two arrays re_ab, re_bc."""
     re_ab, re_bc = np.random.default_rng(20261020).uniform(-2.0, 2.0, size=(2, len(samples[1])))
-    return list(map(OverlapSet, re_ab.tolist(), re_bc.tolist())), (re_ab, re_bc)
+    return list(zip(re_ab.tolist(), re_bc.tolist())), (re_ab, re_bc)
 
 
 @pytest.mark.parametrize(
@@ -346,15 +346,15 @@ def overlaps(samples):
     [
         lambda coeffs, phi, _: fidelity_closed_form(coeffs, phi),
         lambda coeffs, *_: cloner.shrinking_factors(coeffs),
-        lambda coeffs, phi, _: cloner.fidelity_general(coeffs, phi, OverlapSet.maximal()),
+        lambda coeffs, phi, _: cloner.fidelity_general(coeffs, phi, (2.0, 2.0)),
         cloner.fidelity_general,
     ],
     ids=["fidelity_closed_form", "shrinking_factors", "fidelity_general-maximal", "fidelity_general-seeded"],
 )
 def test_array_coefficient_forms_match_scalar_bits(samples, overlaps, closed_form):
     coeffs, phis, columns = samples
-    sets, arrays = overlaps
-    _same_bits(closed_form(columns, np.array(phis), arrays), list(map(closed_form, coeffs, phis, sets)))
+    pairs, arrays = overlaps
+    _same_bits(closed_form(columns, np.array(phis), arrays), list(map(closed_form, coeffs, phis, pairs)))
 
 
 @pytest.fixture(scope="module")

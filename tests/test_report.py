@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pairclone.cloner import ClonerCoefficients
+from pairclone.cloner import ClonerCoefficients, UnitarityError
 from pairclone.report import build_clone_report, format_clone_report
 
 TOL = 1e-12
@@ -56,3 +56,13 @@ def test_formatting_round_trips_key_numbers():
 def test_angle_validated():
     with pytest.raises(ValueError):
         build_clone_report(-1.0)
+
+
+def test_tuple_coefficients_validated():
+    # a plain (a, b, c) becomes a validated ClonerCoefficients
+    as_tuple = build_clone_report(0.3, (1.0, 0.0, 0.0))
+    assert as_tuple.coeffs == ClonerCoefficients(a=1.0, b=0.0, c=0.0)
+    expected = build_clone_report(0.3, ClonerCoefficients(a=1.0, b=0.0, c=0.0))
+    assert format_clone_report(as_tuple) == format_clone_report(expected)
+    with pytest.raises(UnitarityError, match="deviates from 1"):
+        build_clone_report(0.3, (1.0, 0.1, 0.0))
