@@ -111,10 +111,9 @@ def _grid_deviations(phis) -> dict:
     return {name: _per_sample(d) for name, d in deviations.items()}
 
 
-def check_tolerance(tolerance) -> float:
-    """``tolerance`` as a float, if it and the oracle's tolerance, 100x it,
-    are positive and finite; otherwise ValueError."""
-    tolerance = float(tolerance)
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance``, if it and the oracle's tolerance, 100x it, are
+    positive and finite; otherwise ValueError."""
     if not (tolerance > 0 and math.isfinite(tolerance * _ORACLE_FACTOR)):
         raise ValueError(f"tolerance and 100x it must be positive and finite, got {tolerance!r}")
     return tolerance

@@ -74,7 +74,7 @@ def _coeffs_argument(text: str) -> tuple[float, float, float]:
 
 def _tolerance_argument(text: str) -> float:
     try:
-        return check_tolerance(text)
+        return check_tolerance(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
