@@ -2,9 +2,10 @@
 
 Each check walks a phi grid (or a seeded random sample), records the
 worst observed deviation from the property it tests, and passes when that
-deviation is finite and under its tolerance.  Closed-form identities get the
-caller's base tolerance; the grid-search oracle gets a 100x looser one
-since its accuracy is set by refinement depth, not roundoff.
+deviation is finite and under its bound.  The bounds are fixed: 1e-10 for
+the closed-form identities, 1e-8 and 1e-4 for the grid-search oracle's
+fidelity and coefficients (its accuracy is set by refinement depth, not
+roundoff), and the fine grid's step for the location of the minimum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from . import cloner, ensemble, linalg, optimizer
 _HALF_PI = math.pi / 2
 _SEED = 20260808
 _BLOCK = 1024  # angles per kernel call in the grid sweep
-_ORACLE_FACTOR = 100.0  # the oracle's tolerance is this multiple of the base one
+# Fixed bounds on the worst deviation; see the module docstring.
+_IDENTITY_BOUND = 1e-10
+_ORACLE_FIDELITY_BOUND = 1e-8
+_ORACLE_COEFF_BOUND = 1e-4
+_ORACLE_GRID = 256  # grid density of the oracle's first round
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,7 @@ def _grid_deviations(phis) -> dict:
     eta = np.column_stack((eta_x, eta_z))
     mirrored = optimizer.optimum(_HALF_PI - phis)[2]
     formula = np.column_stack(cloner.shrinking_factors(coeffs))
-    multipliers = optimizer.first_equation_multiplier(coeffs, phis)  # a >= 1/2 here
-    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multipliers, phis))
+    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, f_opt - 0.5, phis))
     deviations.update({
         "optimal coefficient constraint": np.abs(cloner.constraint_defect(*coeffs)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
@@ -111,30 +115,15 @@ def _grid_deviations(phis) -> dict:
     return {name: _per_sample(d) for name, d in deviations.items()}
 
 
-def check_tolerance(tolerance: float) -> float:
-    """``tolerance``, if it and the oracle's tolerance, 100x it, are
-    positive and finite; otherwise ValueError."""
-    if not (tolerance > 0 and math.isfinite(tolerance * _ORACLE_FACTOR)):
-        raise ValueError(f"tolerance and 100x it must be positive and finite, got {tolerance!r}")
-    return tolerance
-
-
-def run_checks(
-    grid: int = 1000,
-    tolerance: float = 1e-10,
-    oracle_grid: int = 256,
-) -> list[CheckResult]:
-    """Run every library invariant and return one result per property.
-    All three arguments are checked before any work is done."""
+def run_checks(grid: int = 1000) -> list[CheckResult]:
+    """Run every library invariant on a ``grid``-angle phi grid and return
+    one result per property.  ``grid`` is checked before any work is done."""
     try:
         grid = operator.index(grid)  # no silent truncation
     except TypeError:
         raise ValueError(f"grid must be an integer, got {grid!r}") from None
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    tolerance = check_tolerance(tolerance)
-    oracle_grid = optimizer.check_grid_density(oracle_grid)
-    oracle_tolerance = tolerance * _ORACLE_FACTOR
 
     phis = np.linspace(0.0, _HALF_PI, grid)
     rng = np.random.default_rng(_SEED)
@@ -152,7 +141,7 @@ def run_checks(
         start += len(block)
     for name, worst in block_worst.items():
         deviations, indices = zip(*worst)
-        results.append(_worst(name, deviations, tolerance, _at_phi(phis[list(indices)])))
+        results.append(_worst(name, deviations, _IDENTITY_BOUND, _at_phi(phis[list(indices)])))
 
     # --- copy symmetry and channel geometry on random states -------------
     # (these 25 angles and their optimum serve the oracle block too)
@@ -167,9 +156,10 @@ def run_checks(
         axis=-1,
     )
     at_coarse = _at_phi(coarse_phis)
-    results.append(_worst("copy 1 equals copy 2", np.abs(copies.copy1 - copies.copy2), tolerance, at_coarse))
-    m_out = linalg.bloch_vectors(copies.copy1)
-    results.append(_worst("channel Bloch contraction map", np.abs(m_out - m_expected), tolerance, at_coarse))
+    copy_gap = np.abs(copies.copy1 - copies.copy2)
+    results.append(_worst("copy 1 equals copy 2", copy_gap, _IDENTITY_BOUND, at_coarse))
+    contraction = np.abs(linalg.bloch_vectors(copies.copy1) - m_expected)
+    results.append(_worst("channel Bloch contraction map", contraction, _IDENTITY_BOUND, at_coarse))
 
     # --- general fidelity formula over random feasible coefficients ------
     # (t, u) chart the constraint surface; draws in the order t, u, phi,
@@ -183,8 +173,8 @@ def run_checks(
     sub = cloner.fidelity_general(surface, general_phis, (re_ab, re_bc))
     monotone = np.maximum(0.0, sub - at_max)
     at_general = _at_phi(general_phis)
-    results.append(_worst("general formula at maximal overlaps", general, tolerance, at_general))
-    results.append(_worst("overlaps below maximum never help", monotone, tolerance, at_general))
+    results.append(_worst("general formula at maximal overlaps", general, _IDENTITY_BOUND, at_general))
+    results.append(_worst("overlaps below maximum never help", monotone, _IDENTITY_BOUND, at_general))
 
     # --- linear algebra round trips ---------------------------------------
     partial, roundtrip = [], []
@@ -202,8 +192,8 @@ def run_checks(
             np.abs(linalg.partial_trace(joint, [2, 2], 1) - rho_b),
         ])
     at_sample = "sample {}".format
-    results.append(_worst("partial trace of product states", partial, tolerance, at_sample))
-    results.append(_worst("Bloch round trip", roundtrip, tolerance, at_sample))
+    results.append(_worst("partial trace of product states", partial, _IDENTITY_BOUND, at_sample))
+    results.append(_worst("Bloch round trip", roundtrip, _IDENTITY_BOUND, at_sample))
 
     # --- perfect-cloning endpoints ----------------------------------------
     ends = np.array([0.0, _HALF_PI])
@@ -215,7 +205,7 @@ def run_checks(
     perfect.append(np.max(np.abs(at_zero.copy1 - projectors)))
     perfect.append(np.max(np.abs(at_zero.fidelities - 1.0)))
     where = [f"phi={phi:.6g}" for phi in ends] + ["phi=0", "phi=0"]
-    results.append(_worst("perfect cloning at the endpoints", perfect, tolerance, where.__getitem__))
+    results.append(_worst("perfect cloning at the endpoints", perfect, _IDENTITY_BOUND, where.__getitem__))
 
     # --- worst case sits at the centre of the range ------------------------
     # Fails closed: a non-finite value, where argmin would land, gives NaN.
@@ -234,10 +224,10 @@ def run_checks(
     )
 
     # --- independent grid-search oracle ------------------------------------
-    searches = [optimizer.numeric_optimize(phi, grid_density=oracle_grid) for phi in coarse_phis]
+    searches = [optimizer.numeric_optimize(phi, grid_density=_ORACLE_GRID) for phi in coarse_phis]
     oracle_f = np.abs([search.best_fidelity for search in searches] - coarse_f)
     oracle_c = np.abs([tuple(search.best_coeffs) for search in searches] - np.column_stack(coarse_coeffs))
-    results.append(_worst("oracle fidelity agreement", oracle_f, oracle_tolerance, at_coarse))
-    results.append(_worst("oracle coefficient agreement", oracle_c, max(1e-4, oracle_tolerance), at_coarse))
+    results.append(_worst("oracle fidelity agreement", oracle_f, _ORACLE_FIDELITY_BOUND, at_coarse))
+    results.append(_worst("oracle coefficient agreement", oracle_c, _ORACLE_COEFF_BOUND, at_coarse))
 
     return results

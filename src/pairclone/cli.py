@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .checks import check_tolerance, run_checks
+from .checks import run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
 from .optimizer import check_grid_density, numeric_optimize, optimum
@@ -72,23 +72,9 @@ def _coeffs_argument(text: str) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _tolerance_argument(text: str) -> float:
-    try:
-        return check_tolerance(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _check_steps(args, parser) -> None:
     if not 2 <= args.steps <= MAX_STEPS:
         parser.error(f"--steps must be between 2 and {MAX_STEPS}, got {args.steps}")
-
-
-def _check_oracle_grid(args, parser) -> None:
-    try:
-        check_grid_density(args.oracle_grid, "--oracle-grid")
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _fmt(value: float) -> str:
@@ -139,15 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run every library invariant")
     verify.add_argument("--steps", type=int, default=1000, help="phi grid size")
-    verify.add_argument(
-        "--tolerance",
-        type=_tolerance_argument,
-        default=1e-10,
-        help="bound for closed-form identities; the oracle gets 100x this",
-    )
-    verify.add_argument(
-        "--oracle-grid", type=int, default=256, help="grid density of the first refinement round"
-    )
 
     return parser
 
@@ -176,7 +153,10 @@ def _cmd_sweep(args, parser) -> int:
         parser.error("required: 0 <= phi-min < phi-max <= pi/2")
     _check_steps(args, parser)
     if args.with_oracle:
-        _check_oracle_grid(args, parser)
+        try:
+            check_grid_density(args.oracle_grid, "--oracle-grid")
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if args.out == "-":
         _write_sweep(args, sys.stdout)
@@ -215,12 +195,7 @@ def _cmd_clone(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     _check_steps(args, parser)
-    _check_oracle_grid(args, parser)
-    results = run_checks(
-        grid=args.steps,
-        tolerance=args.tolerance,
-        oracle_grid=args.oracle_grid,
-    )
+    results = run_checks(grid=args.steps)
     failures = 0
     for result in results:
         print(result.line())

@@ -20,6 +20,7 @@ Subsystem order in the 8-dimensional output space is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,14 +163,18 @@ def apply_cloner(isometry, psi) -> np.ndarray:
 
 def copy_state(rho_out, which_copy: int) -> np.ndarray:
     """Reduced 2x2 density operator of output copy 1 or 2."""
-    if which_copy not in (1, 2):
-        raise ValueError(f"which_copy must be 1 or 2, got {which_copy}")
+    try:
+        index = operator.index(which_copy)  # no silent truncation of 1.0
+    except TypeError:
+        index = None
+    if index not in (1, 2):
+        raise ValueError(f"which_copy must be 1 or 2, got {which_copy!r}")
     rho_out = as_matrix(rho_out, "rho_out")
     if rho_out.shape != (8, 8):
         raise ValueError(f"expected an 8x8 density matrix, got shape {rho_out.shape}")
     if abs(complex(np.trace(rho_out)) - 1.0) > ATOL_INPUT:
         raise ValueError("output density matrix trace is not 1")
-    return partial_trace(rho_out, [2, 2, 2], keep=which_copy - 1)
+    return partial_trace(rho_out, [2, 2, 2], keep=index - 1)
 
 
 def fidelity(psi, rho) -> float:

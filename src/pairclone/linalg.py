@@ -122,7 +122,10 @@ def density_from_bloch(m) -> np.ndarray:
     Accepts any real 3-vector of norm at most 1 (up to 1e-9 slack); pure
     states sit on the unit sphere, mixed states strictly inside.
     """
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError(f"Bloch vector must be real, got dtype {m.dtype}")
+    m = m.astype(float)
     if m.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {m.shape}")
     if not np.all(np.isfinite(m)):

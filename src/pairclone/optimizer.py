@@ -8,6 +8,10 @@ with K(phi) = 1 / sqrt(sin^4 phi + cos^4 phi),
     c = (1 - K cos^2 phi) / 2
     F = (1 + sqrt(sin^4 phi + cos^4 phi)) / 2
 
+F is 1/2 plus a quadratic form in (a, b, c) and the constraint is
+quadratic, so at every stationary point the Lagrange multiplier of
+:func:`lagrange_residual` is lambda* = F - 1/2.
+
 The grid-refinement search in :func:`numeric_optimize` maximises the same
 objective over the constraint surface without using any of the formulas
 above, so agreement between the two routes is a genuine check.
@@ -118,23 +122,12 @@ def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
     when a vanishes).  Returns None when both a and c are zero, in which
     case no multiplier can be recovered and residual checks are skipped."""
     a, b, c = coeffs
-    if a > 1e-9:
-        return first_equation_multiplier(coeffs, phi)
     sin2, cos2, _ = angle_terms(phi)
+    if a > 1e-9:
+        return (a * cos2 + b * sin2) / (2 * a)
     if c > 1e-9:
         return (-c * cos2 + b * sin2) / (2 * c)
     return None
-
-
-def first_equation_multiplier(coeffs, phis):
-    """Multiplier (a cos^2 phi + b sin^2 phi) / (2a) implied by the first
-    stationarity equation, for coefficients (a, b, c) as floats or (N,)
-    arrays at one angle or an (N,) array of angles.  It is
-    :func:`recover_multiplier` wherever a > 1e-9, so at every optimum
-    (a >= 1/2 there).  It validates the angles, not the coefficients."""
-    a, b, _ = coeffs
-    sin2, cos2, _ = angle_terms(phis)
-    return (a * cos2 + b * sin2) / (2 * a)
 
 
 def _chart_terms(ts, us):

@@ -51,6 +51,13 @@ MUTATIONS = [
         id="C5-lagrange_residual",
     ),
     pytest.param(
+        # the multiplier F - 1/2 moves with F, and the three equations
+        # that carry it then miss
+        optimizer, "optimum", lambda out, *_: (out[0] + EPS, *out[1:]),
+        ["stationarity residuals"],
+        id="C5-optimum-multiplier",
+    ),
+    pytest.param(
         cloner, "shrinking_factors", lambda out, *_: (out[0] * (1 + EPS), out[1]),
         ["channel Bloch contraction map", "shrinking factor identities"],
         id="C6-shrinking_factors",
@@ -91,26 +98,18 @@ MUTATIONS = [
 
 
 def test_small_grid_all_pass():
-    results = run_checks(grid=60, tolerance=1e-10, oracle_grid=64)
+    results = run_checks(grid=60)
     assert results
     for result in results:
         assert result.passed, result.line()
 
 
 def test_every_property_reports_a_line():
-    results = run_checks(grid=30, tolerance=1e-10, oracle_grid=64)
+    results = run_checks(grid=30)
     lines = [r.line() for r in results]
     assert all(line.startswith("[PASS]") for line in lines)
     names = {r.name for r in results}
     assert len(names) == len(results)  # no duplicated property names
-
-
-def test_impossible_tolerance_fails():
-    # below machine precision at least one identity must miss
-    results = run_checks(grid=30, tolerance=1e-18, oracle_grid=64)
-    assert any(not r.passed for r in results)
-    failing = [r for r in results if not r.passed]
-    assert all("[FAIL]" in r.line() for r in failing)
 
 
 def test_parameters_validated(monkeypatch):
@@ -118,19 +117,15 @@ def test_parameters_validated(monkeypatch):
         raise AssertionError("a check block ran before the arguments were checked")
 
     monkeypatch.setattr(checks, "_grid_deviations", no_work)
-    for bad in [
-        dict(grid=1), dict(grid=2.5), dict(tolerance=0.0), dict(tolerance=float("inf")),
-        dict(tolerance=1e307),  # finite, but the oracle's 100x is not
-        dict(oracle_grid=10), dict(oracle_grid=64.0),
-    ]:
+    for bad in [1, 2.5]:
         with pytest.raises(ValueError):
-            run_checks(**bad)
+            run_checks(grid=bad)
 
 
 def test_grid_blocks_do_not_change_results(monkeypatch):
-    whole = [r.line() for r in run_checks(grid=50, oracle_grid=64)]
+    whole = [r.line() for r in run_checks(grid=50)]
     monkeypatch.setattr(checks, "_BLOCK", 7)
-    split = [r.line() for r in run_checks(grid=50, oracle_grid=64)]
+    split = [r.line() for r in run_checks(grid=50)]
     assert split == whole
 
 
@@ -150,7 +145,7 @@ def test_worst_angle_found_across_blocks(monkeypatch, later):
 
     monkeypatch.setattr(checks, "_BLOCK", 7)
     monkeypatch.setattr(cloner, "fidelity_closed_form", perturbed)
-    chain = {r.name: r for r in run_checks(grid=50, oracle_grid=64)}["optimal fidelity consistency chain"]
+    chain = {r.name: r for r in run_checks(grid=50)}["optimal fidelity consistency chain"]
     assert chain.deviation == later or (math.isnan(later) and math.isnan(chain.deviation))
     assert chain.worst_at == f"phi={(first if later == 1e20 else second):.6g}"
 
@@ -161,6 +156,6 @@ def test_each_pinned_property_can_fail(monkeypatch, module, function, perturb, f
     monkeypatch.setattr(
         module, function, lambda *args, **kwargs: perturb(original(*args, **kwargs), *args)
     )
-    results = {r.name: r for r in run_checks(grid=30, oracle_grid=64)}
+    results = {r.name: r for r in run_checks(grid=30)}
     for name in failing:
         assert not results[name].passed, results[name].line()

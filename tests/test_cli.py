@@ -204,77 +204,51 @@ class TestClone:
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--steps", "50", "--oracle-grid", "64"
-        )
+        code, out, _ = run_cli(capsys, "verify", "--steps", "50")
         assert code == 0
         assert "[PASS]" in out
         assert "[FAIL]" not in out
         assert "properties passed" in out
 
-    def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "verify",
-            "--steps",
-            "30",
-            "--tolerance",
-            "1e-18",
-            "--oracle-grid",
-            "64",
-        )
-        assert code == 1
-        assert "[FAIL]" in out
-
-    def test_bad_tolerance_is_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--tolerance", "-1"])
-        assert excinfo.value.code == 2
-
-    # 1e307 is finite, but the oracle's tolerance, 100x it, is not
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e307"])
-    def test_non_finite_tolerance_is_usage_error(self, capsys, value):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--steps", "30", "--oracle-grid", "64", "--tolerance", value])
-        assert excinfo.value.code == 2
-        assert "finite" in capsys.readouterr().err
-
-    def test_coarse_oracle_grid_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--steps", "30", "--oracle-grid", "10"])
-        assert excinfo.value.code == 2
-        assert "--oracle-grid" in capsys.readouterr().err
+    # the bounds and the oracle grid are fixed, so no option may set them
+    @pytest.mark.parametrize(
+        "option", [["--tolerance", "1e-5"], ["--oracle-grid", "64"]], ids=["tolerance", "oracle-grid"]
+    )
+    def test_bound_options_are_usage_errors(self, capsys, monkeypatch, option):
+        monkeypatch.setattr(cli, "run_checks", lambda **_: pytest.fail("verify ran"))
+        code, out, err = run_cli(capsys, "verify", *option)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: pairclone")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
     def test_nan_deviation_fails_closed(self, capsys, monkeypatch):
         exact = optimizer.optimum
         monkeypatch.setattr(
             optimizer, "optimum", lambda phis: (np.full(len(phis), math.nan), *exact(phis)[1:])
         )
-        code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
+        code, out, _ = run_cli(capsys, "verify", "--steps", "50")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
 
     def test_perturbed_closed_form_fails(self, capsys, monkeypatch):
         exact = optimizer.optimum
         monkeypatch.setattr(optimizer, "optimum", lambda phis: (exact(phis)[0] + 1e-6, *exact(phis)[1:]))
-        code, out, _ = run_cli(capsys, "verify", "--steps", "50", "--oracle-grid", "64")
+        code, out, _ = run_cli(capsys, "verify", "--steps", "50")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
 
 
-@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("command", ["sweep"])  # the commands that take --oracle-grid
 def test_oracle_grid_upper_bound(capsys, monkeypatch, command):
     # the oracle is stubbed, so neither grid below is ever allocated
     grids = []
-    monkeypatch.setattr(
-        cli, "run_checks", lambda oracle_grid, **_: grids.append(oracle_grid) or []
-    )
     monkeypatch.setattr(
         cli,
         "numeric_optimize",
         lambda phi, grid_density: grids.append(grid_density) or SimpleNamespace(best_fidelity=1.0),
     )
-    argv = [command, "--steps", "2"] + (["--with-oracle"] if command == "sweep" else [])
+    argv = [command, "--steps", "2", "--with-oracle"]
 
     code, _, _ = run_cli(capsys, *argv, "--oracle-grid", str(MAX_GRID_DENSITY))
     assert code == 0

@@ -142,6 +142,8 @@ class TestApplyAndReduce:
         rho = apply_cloner(v, KET_0)
         with pytest.raises(ValueError, match="which_copy"):
             copy_state(rho, 3)
+        with pytest.raises(ValueError, match="which_copy"):
+            copy_state(rho, 1.0)
 
 
 class TestFidelity:

@@ -110,7 +110,7 @@ def test_kernel_copies_match_density_matrix_route():
 
 @pytest.mark.parametrize("grid", [2, 3])
 def test_smallest_grids_pass_every_check(grid):
-    results = run_checks(grid=grid, oracle_grid=64)
+    results = run_checks(grid=grid)
     assert len(results) == 23
     for result in results:
         assert result.passed, result.line()

@@ -163,6 +163,12 @@ class TestBlochMaps:
         with pytest.raises(ValueError, match="exceeds"):
             density_from_bloch([1.0, 1.0, 0.0])
 
+    def test_complex_input_rejected(self):
+        # an ndarray would otherwise lose its imaginary part with a warning
+        for m in (np.array([0.3 + 0.5j, 0.0, 0.0]), [0.3 + 0.5j, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="real"):
+                density_from_bloch(m)
+
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())
         assert np.abs(bloch_from_density(rho) - np.array([0, 0, -1.0])).max() <= SELF_TOL

@@ -364,17 +364,9 @@ def multipliers(samples):
     return list(map(recover_multiplier, coeffs, phis))
 
 
-def test_first_equation_multiplier_matches_recover_multiplier_bits(samples, multipliers):
-    # every sample with a > 1e-9, where recover_multiplier uses the first equation
-    _, phis, columns = samples
-    used = np.flatnonzero(columns[0] > 1e-9)
-    result = optimizer.first_equation_multiplier([column[used] for column in columns], np.array(phis)[used])
-    _same_bits(result, [multipliers[i] for i in used.tolist()])
-
-
 def test_array_lagrange_residual_matches_scalar_bits(samples, multipliers):
     coeffs, phis, columns = samples
-    # the recovered multipliers (pinned above), and any one where none is
+    # the recovered multipliers, and any one where none is
     lams = [0.25 if lam is None else lam for lam in multipliers]
     result = lagrange_residual(columns, np.array(lams), np.array(phis))
     _same_bits(result, list(map(lagrange_residual, coeffs, lams, phis)))
