@@ -25,7 +25,6 @@ _BLOCK = 1024  # angles per kernel call in the grid sweep
 _IDENTITY_BOUND = 1e-10
 _ORACLE_FIDELITY_BOUND = 1e-8
 _ORACLE_COEFF_BOUND = 1e-4
-_ORACLE_GRID = 256  # grid density of the oracle's first round
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,7 @@ def run_checks(grid: int = 1000) -> list[CheckResult]:
     )
 
     # --- independent grid-search oracle ------------------------------------
-    searches = [optimizer.numeric_optimize(phi, grid_density=_ORACLE_GRID) for phi in coarse_phis]
+    searches = [optimizer.numeric_optimize(phi) for phi in coarse_phis]  # at DEFAULT_GRID_DENSITY
     oracle_f = np.abs([search.best_fidelity for search in searches] - coarse_f)
     oracle_c = np.abs([tuple(search.best_coeffs) for search in searches] - np.column_stack(coarse_coeffs))
     results.append(_worst("oracle fidelity agreement", oracle_f, _ORACLE_FIDELITY_BOUND, at_coarse))

@@ -19,7 +19,7 @@ import numpy as np
 from .checks import run_checks
 from .cloner import ClonerCoefficients, UnitarityError
 from .ensemble import PHI_MAX, PHI_MIN
-from .optimizer import check_grid_density, numeric_optimize, optimum
+from .optimizer import DEFAULT_GRID_DENSITY, check_grid_density, numeric_optimize, optimum
 from .report import build_clone_report, format_clone_report
 
 # Largest --steps of sweep and verify.  At the cap a whole command peaked at
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--oracle-grid",
         type=int,
-        default=256,
+        default=DEFAULT_GRID_DENSITY,
         help="grid density of the first refinement round, used with --with-oracle",
     )
 

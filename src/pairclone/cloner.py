@@ -31,6 +31,7 @@ from .linalg import (
     ATOL_INPUT,
     KET_0,
     KET_1,
+    _density_operator,
     as_matrix,
     dagger,
     partial_trace,
@@ -63,7 +64,12 @@ class ClonerCoefficients:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            try:
+                value = float(value)
+            except TypeError:
+                kind = type(value).__name__
+                raise ValueError(f"coefficient {name} must be a real number, got {kind}") from None
             if not math.isfinite(value):
                 raise ValueError(f"coefficient {name} must be finite")
             if value < 0.0:
@@ -180,24 +186,16 @@ def copy_state(rho_out, which_copy: int) -> np.ndarray:
 def fidelity(psi, rho) -> float:
     """Overlap <psi|rho|psi> of a unit ket with a 2x2 density operator.
 
-    The value of a valid density operator is real; an imaginary residue
-    above 1e-9 means the input was not one and is rejected.  Residues
-    below that are discarded after the check.
+    ``rho`` must be Hermitian and of trace one within 1e-9, as for
+    :func:`~pairclone.linalg.bloch_from_density`.  The value is then real
+    up to roundoff, and that imaginary residue is discarded.
     """
     psi = as_matrix(psi, "psi")
     if psi.shape != (2,):
         raise ValueError(f"psi must be a 2-dimensional ket, got shape {psi.shape}")
     if abs(float(np.linalg.norm(psi)) - 1.0) > ATOL_INPUT:
         raise ValueError("psi must be a unit vector")
-    rho = as_matrix(rho, "rho")
-    if rho.shape != (2, 2):
-        raise ValueError(f"rho must be 2x2, got shape {rho.shape}")
-    if abs(complex(np.trace(rho)) - 1.0) > ATOL_INPUT:
-        raise ValueError("rho trace deviates from 1")
-    value = complex(expectation(psi, rho))
-    if abs(value.imag) > ATOL_INPUT:
-        raise ValueError(f"fidelity has imaginary residue {value.imag:.3e}")
-    return value.real
+    return complex(expectation(psi, _density_operator(rho))).real
 
 
 def fidelity_closed_form(coeffs, phi):

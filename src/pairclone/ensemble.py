@@ -58,8 +58,9 @@ def angle_terms(phis):
 
     Every closed form in phi (the optimum, its fidelity and shrinking
     factors, the stationarity equations, the closed-form fidelity and the
-    general fidelity for any overlap sums) starts from these and goes on with + - * / alone, so one body serves
-    a float and an array with the same bits.
+    general fidelity for any overlap sums) starts from these and goes on
+    with + - * / alone, so one body serves a float and an array with the
+    same bits.
     Two rules keep it so.  Each sine, cosine and power is taken element by
     element with ``math.sin``, ``math.cos`` and Python's float ``**``
     (``pow``): numpy's ``x ** 2`` and ``x ** 4`` differ from Python's in
@@ -67,14 +68,15 @@ def angle_terms(phis):
     numpy's SIMD dispatch.  Only the correctly rounded sum and square root
     are vectorised.  This is the one place that tells a float from an
     array, and it validates both: one angle with :func:`check_angle`, an
-    array with one vectorised range check (NaN fails it).
+    array with a real number dtype and one vectorised range check (NaN
+    fails it).
     """
     if not isinstance(phis, np.ndarray) or phis.ndim == 0:
         phi = check_angle(phis)
         sin, cos = math.sin(phi), math.cos(phi)
         return sin ** 2, cos ** 2, math.sqrt(sin ** 4 + cos ** 4)
-    inside = (phis >= PHI_MIN) & (phis <= PHI_MAX)
-    if phis.ndim != 1 or not inside.all():
+    real = phis.dtype.kind in "iuf"  # numpy orders complex numbers by their real part
+    if phis.ndim != 1 or not real or not ((phis >= PHI_MIN) & (phis <= PHI_MAX)).all():
         raise ValueError("angles must be an (N,) array of values in [0, pi/2]")
     values = phis.tolist()
     sins, coss = list(map(math.sin, values)), list(map(math.cos, values))

@@ -136,12 +136,9 @@ def density_from_bloch(m) -> np.ndarray:
     return 0.5 * (IDENTITY_2 + m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z)
 
 
-def bloch_from_density(rho) -> np.ndarray:
-    """Bloch components Tr(rho sigma_k) of a 2x2 density operator.
-
-    Inverts :func:`density_from_bloch`; the round trip is exact to 1e-12.
-    Rejects input that is not Hermitian and trace one within 1e-9.
-    """
+def _density_operator(rho) -> np.ndarray:
+    """``rho`` as a 2x2 array if it is Hermitian and of trace one within 1e-9,
+    else ValueError; shared by bloch_from_density and cloner.fidelity."""
     rho = as_matrix(rho, "rho")
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
@@ -151,7 +148,16 @@ def bloch_from_density(rho) -> np.ndarray:
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     if trace_defect > ATOL_INPUT:
         raise ValueError(f"matrix trace deviates from 1 by {trace_defect:.3e}")
-    return bloch_vectors(rho)
+    return rho
+
+
+def bloch_from_density(rho) -> np.ndarray:
+    """Bloch components Tr(rho sigma_k) of a 2x2 density operator.
+
+    Inverts :func:`density_from_bloch`; the round trip is exact to 1e-12.
+    Rejects input that is not Hermitian and trace one within 1e-9.
+    """
+    return bloch_vectors(_density_operator(rho))
 
 
 def bloch_vectors(rho) -> np.ndarray:

@@ -10,7 +10,7 @@ with K(phi) = 1 / sqrt(sin^4 phi + cos^4 phi),
 
 F is 1/2 plus a quadratic form in (a, b, c) and the constraint is
 quadratic, so at every stationary point the Lagrange multiplier of
-:func:`lagrange_residual` is lambda* = F - 1/2.
+:func:`lagrange_residual` is lambda* = F - 1/2, which :func:`recover_multiplier` gives.
 
 The grid-refinement search in :func:`numeric_optimize` maximises the same
 objective over the constraint surface without using any of the formulas
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import ClonerCoefficients, constraint_defect
+from .cloner import ClonerCoefficients, constraint_defect, fidelity_closed_form
 from .ensemble import angle_terms, check_angle
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -36,6 +36,8 @@ _SQRT_HALF = math.sqrt(0.5)
 # about 67 MB.
 MIN_GRID_DENSITY = 64
 MAX_GRID_DENSITY = 2048
+# The one default first-round grid: numeric_optimize, verify, sweep --oracle-grid.
+DEFAULT_GRID_DENSITY = 256
 
 # Refinement policy of :func:`numeric_optimize`.  Every round after the
 # first evaluates _REFINE_INTERVALS intervals per axis.
@@ -108,7 +110,8 @@ def lagrange_residual(coeffs, multiplier, phi):
     maximisation, for coefficients that are a :class:`ClonerCoefficients`
     or three (N,) arrays a, b, c, with one multiplier and angle or an (N,)
     array of each.  All four vanish at the closed-form optimum with the
-    matching multiplier.  It validates the angles, not the coefficients."""
+    multiplier of :func:`recover_multiplier`.  It validates the angles,
+    not the coefficients."""
     a, b, c = coeffs
     sin2, cos2, _ = angle_terms(phi)
     r1 = a * cos2 + b * sin2 - 2 * a * multiplier
@@ -117,17 +120,13 @@ def lagrange_residual(coeffs, multiplier, phi):
     return r1, r2, r3, constraint_defect(a, b, c)
 
 
-def recover_multiplier(coeffs: ClonerCoefficients, phi: float) -> float | None:
-    """Multiplier implied by the first stationarity equation (or the third
-    when a vanishes).  Returns None when both a and c are zero, in which
-    case no multiplier can be recovered and residual checks are skipped."""
-    a, b, c = coeffs
-    sin2, cos2, _ = angle_terms(phi)
-    if a > 1e-9:
-        return (a * cos2 + b * sin2) / (2 * a)
-    if c > 1e-9:
-        return (-c * cos2 + b * sin2) / (2 * c)
-    return None
+def recover_multiplier(coeffs, phi):
+    """lambda = F - 1/2 for :func:`lagrange_residual`, with F the
+    :func:`~pairclone.cloner.fidelity_closed_form` of the same arguments (a
+    float or an (N,) array).  On the constraint surface a r1 + b r2 + c r3 =
+    2 (F - 1/2) - 2 lambda, so this is the only lambda that leaves the
+    residual orthogonal to (a, b, c): lambda* at every stationary point."""
+    return fidelity_closed_form(coeffs, phi) - 0.5
 
 
 def _chart_terms(ts, us):
@@ -189,7 +188,7 @@ def check_grid_density(grid_density, name: str = "grid_density") -> int:
     return grid_density
 
 
-def numeric_optimize(phi: float, grid_density: int = 128) -> NumericSearchReport:
+def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> NumericSearchReport:
     """Maximise the closed-form fidelity over the constraint surface by
     nested grid refinement, independently of the closed-form solution.
 

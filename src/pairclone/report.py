@@ -43,7 +43,7 @@ class CloneReport:
     formula_eta: tuple
     simulated_eta: tuple
     residuals: tuple
-    multiplier: float | None
+    multiplier: float
 
 
 def build_clone_report(
@@ -53,7 +53,10 @@ def build_clone_report(
     of merit, formula and simulation side by side.
 
     With ``coeffs`` omitted the closed-form optimum is used; any other
-    (a, b, c) is validated as a :class:`ClonerCoefficients`.
+    (a, b, c) is validated as a :class:`ClonerCoefficients`.  The four
+    stationarity residuals take the multiplier F - 1/2 of
+    :func:`recover_multiplier` at any coefficients, so all four vanish if
+    and only if (a, b, c) is a stationary point.
     """
     phi = check_angle(phi)
     used_optimum = coeffs is None
@@ -72,10 +75,6 @@ def build_clone_report(
     simulated_eta = (float(x_probe[0]), float(z_probe[2]))
 
     multiplier = recover_multiplier(coeffs, phi)
-    if multiplier is None:
-        residuals = (math.nan, math.nan, math.nan, coeffs.constraint_defect)
-    else:
-        residuals = lagrange_residual(coeffs, multiplier, phi)
 
     return CloneReport(
         phi=phi,
@@ -87,7 +86,7 @@ def build_clone_report(
         best_possible_fidelity=best_fidelity,
         formula_eta=shrinking_factors(coeffs),
         simulated_eta=simulated_eta,
-        residuals=tuple(residuals),
+        residuals=lagrange_residual(coeffs, multiplier, phi),
         multiplier=multiplier,
     )
 
@@ -112,13 +111,6 @@ def format_clone_report(report: CloneReport) -> str:
     ex_s, ez_s = report.simulated_eta
     lines.append(f"shrinking factors (formula):   eta_x={ex_f:.12g}  eta_z={ez_f:.12g}")
     lines.append(f"shrinking factors (simulated): eta_x={ex_s:.12g}  eta_z={ez_s:.12g}")
-    if report.multiplier is None:
-        lines.append("stationarity residuals: skipped (a = c = 0, no multiplier)")
-    else:
-        r1, r2, r3, r4 = report.residuals
-        lines.append(f"stationarity multiplier: {report.multiplier:.12g}")
-        lines.append(
-            "stationarity residuals: "
-            f"{r1:.3e}  {r2:.3e}  {r3:.3e}  {r4:.3e}"
-        )
+    lines.append(f"stationarity multiplier: {report.multiplier:.12g}")
+    lines.append("stationarity residuals: " + "  ".join(f"{r:.3e}" for r in report.residuals))
     return "\n".join(lines)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from pairclone import cli, optimizer
 from pairclone.cli import MAX_STEPS, main, parse_angle
 from pairclone.optimizer import (
+    DEFAULT_GRID_DENSITY,
     MAX_GRID_DENSITY,
     numeric_optimize,
     optimal_coefficients,
@@ -237,6 +239,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--steps", "50")
         assert code == 1
         assert "[FAIL] simulation matches optimal fidelity" in out
+
+
+def test_one_default_oracle_grid(capsys, monkeypatch):
+    # numeric_optimize's default, sweep --oracle-grid's default and verify's grid
+    assert inspect.signature(numeric_optimize).parameters["grid_density"].default == DEFAULT_GRID_DENSITY
+    assert cli._build_parser().parse_args(["sweep"]).oracle_grid == DEFAULT_GRID_DENSITY
+    grids = []  # the oracle is stubbed, so its two checks fail
+    stub = SimpleNamespace(best_fidelity=0.0, best_coeffs=(0.0, 0.0, 0.0))
+    monkeypatch.setattr(optimizer, "numeric_optimize", lambda phi, **kw: grids.append(kw) or stub)
+    run_cli(capsys, "verify", "--steps", "2")
+    assert len(grids) == 25 and not any(grids)  # every search at the signature default
 
 
 @pytest.mark.parametrize("command", ["sweep"])  # the commands that take --oracle-grid

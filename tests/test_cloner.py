@@ -52,6 +52,11 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="nonnegative"):
             ClonerCoefficients(a=-1.0, b=0.0, c=0.0)
 
+    @pytest.mark.parametrize("bad", [None, 1 + 0j])
+    def test_non_number_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficient a must be a real number, got "):
+            ClonerCoefficients(a=bad, b=0.0, c=0.0)
+
     def test_boundary_triples_accepted(self):
         ClonerCoefficients(a=1.0, b=0.0, c=0.0)
         ClonerCoefficients(a=0.0, b=0.0, c=1.0)
@@ -157,8 +162,11 @@ class TestFidelity:
     def test_imaginary_residue_rejected(self):
         crooked = np.array([[0.5, 0.3j], [0.3j, 0.5]])
         psi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        with pytest.raises(ValueError, match="imaginary"):
+        with pytest.raises(ValueError, match="not Hermitian"):
             fidelity(psi, crooked)
+        # <0|rho|0> = 1 is real, so only the Hermitian check catches this one
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity(KET_0, [[1, 1j], [0, 0]])
 
     def test_simulated_value_at_quarter_pi(self):
         # frozen: (1 + 1/sqrt(2)) / 2 = 0.8535533905932738

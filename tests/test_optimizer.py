@@ -90,9 +90,16 @@ class TestStationarity:
         residuals = lagrange_residual(ClonerCoefficients(1.0, 0.0, 0.0), 0.5, 0.0)
         assert residuals == (0.0, 0.0, 0.0, 0.0)
 
-    def test_multiplier_unrecoverable_when_a_and_c_vanish(self):
+    def test_pure_b_corner_is_not_stationary(self):
+        # F = 1/2 at a = c = 0, so the multiplier is 0 and the first and
+        # third residuals are b sin^2 phi
         pure_b = ClonerCoefficients(a=0.0, b=math.sqrt(0.5), c=0.0)
-        assert recover_multiplier(pure_b, 0.7) is None
+        lam = recover_multiplier(pure_b, 0.7)
+        assert lam == 0.0
+        r1, r2, r3, r4 = lagrange_residual(pure_b, lam, 0.7)
+        expected = math.sqrt(0.5) * math.sin(0.7) ** 2  # 0.2935
+        assert abs(r1 - expected) <= TOL and abs(r3 - expected) <= TOL
+        assert r2 == 0.0 and abs(r4) <= TOL
 
     def test_random_non_optimal_coefficients_violate_stationarity(self):
         rng = np.random.default_rng(31)
@@ -111,10 +118,7 @@ class TestStationarity:
             )
             if distance < 0.1:
                 continue
-            lam = recover_multiplier(cc, phi)
-            if lam is None:
-                continue
-            r1, r2, r3, _ = lagrange_residual(cc, lam, phi)
+            r1, r2, r3, _ = lagrange_residual(cc, recover_multiplier(cc, phi), phi)
             assert max(abs(r1), abs(r2), abs(r3)) > 1e-3
             checked += 1
 
@@ -311,8 +315,7 @@ def test_angle_terms_array_matches_float_bits():
 def samples():
     """(coefficients, angles, coefficient columns): the optimum at every
     angle of PINNED, then random surface points and the corners (1, 0, 0),
-    (0, 1/sqrt 2, 0) and (0, 0, 1), where the multiplier comes from the
-    third equation or from none, each at the 1,000 seeded angles."""
+    (0, 1/sqrt 2, 0) and (0, 0, 1), each at the 1,000 seeded angles."""
     phis = PINNED.tolist()
     coeffs = list(map(optimal_coefficients, phis))
     seeded = SEEDED.tolist()
@@ -348,8 +351,12 @@ def overlaps(samples):
         lambda coeffs, *_: cloner.shrinking_factors(coeffs),
         lambda coeffs, phi, _: cloner.fidelity_general(coeffs, phi, (2.0, 2.0)),
         cloner.fidelity_general,
+        lambda coeffs, phi, _: recover_multiplier(coeffs, phi),
     ],
-    ids=["fidelity_closed_form", "shrinking_factors", "fidelity_general-maximal", "fidelity_general-seeded"],
+    ids=[
+        "fidelity_closed_form", "shrinking_factors", "fidelity_general-maximal",
+        "fidelity_general-seeded", "recover_multiplier",
+    ],
 )
 def test_array_coefficient_forms_match_scalar_bits(samples, overlaps, closed_form):
     coeffs, phis, columns = samples
@@ -359,20 +366,21 @@ def test_array_coefficient_forms_match_scalar_bits(samples, overlaps, closed_for
 
 @pytest.fixture(scope="module")
 def multipliers(samples):
-    """recover_multiplier at every sample, None where it finds none."""
+    """recover_multiplier at every sample."""
     coeffs, phis, _ = samples
     return list(map(recover_multiplier, coeffs, phis))
 
 
 def test_array_lagrange_residual_matches_scalar_bits(samples, multipliers):
     coeffs, phis, columns = samples
-    # the recovered multipliers, and any one where none is
-    lams = [0.25 if lam is None else lam for lam in multipliers]
-    result = lagrange_residual(columns, np.array(lams), np.array(phis))
-    _same_bits(result, list(map(lagrange_residual, coeffs, lams, phis)))
+    result = lagrange_residual(columns, np.array(multipliers), np.array(phis))
+    _same_bits(result, list(map(lagrange_residual, coeffs, multipliers, phis)))
 
 
-@pytest.mark.parametrize("bad", [np.array([0.1, -1e-300]), np.array([math.nan]), np.array([[0.1]])])
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([0.1, -1e-300]), np.array([math.nan]), np.array([[0.1]]), np.array([0.3 + 0j]), np.array(["a"])],
+)
 def test_array_closed_forms_validate_angles(bad):
     with pytest.raises(ValueError, match="angles"):
         optimal_fidelity(bad)

@@ -38,12 +38,14 @@ def test_report_at_zero():
     assert abs(report.formula_eta[1] - 1.0) <= TOL
 
 
-def test_multiplier_skipped_when_unrecoverable():
+def test_pure_b_corner_reports_residuals():
+    # F = 1/2 at a = c = 0: multiplier 0, residuals (b sin^2, 0, b sin^2, ~0)
     pure_b = ClonerCoefficients(a=0.0, b=math.sqrt(0.5), c=0.0)
-    report = build_clone_report(0.5, pure_b)
-    assert report.multiplier is None
-    assert math.isnan(report.residuals[0])
-    assert "skipped" in format_clone_report(report)
+    report = build_clone_report(0.7, pure_b)
+    assert report.multiplier == 0.0
+    text = format_clone_report(report)
+    assert "stationarity multiplier: 0\n" in text
+    assert "stationarity residuals: 2.935e-01  0.000e+00  2.935e-01  2.220e-16" in text
 
 
 def test_formatting_round_trips_key_numbers():
