@@ -11,7 +11,6 @@ roundoff), and the fine grid's step for the location of the minimum.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,10 +116,7 @@ def _grid_deviations(phis) -> dict:
 def run_checks(grid: int = 1000) -> list[CheckResult]:
     """Run every library invariant on a ``grid``-angle phi grid and return
     one result per property.  ``grid`` is checked before any work is done."""
-    try:
-        grid = operator.index(grid)  # no silent truncation
-    except TypeError:
-        raise ValueError(f"grid must be an integer, got {grid!r}") from None
+    grid = linalg._integer(grid, "grid")
     if grid < 2:
         raise ValueError("grid must be at least 2")
 

@@ -19,8 +19,6 @@ Subsystem order in the 8-dimensional output space is
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,8 +30,10 @@ from .linalg import (
     KET_0,
     KET_1,
     _density_operator,
+    _integer,
+    _real,
+    _unit_ket,
     as_matrix,
-    dagger,
     partial_trace,
     tensor,
 )
@@ -64,14 +64,7 @@ class ClonerCoefficients:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except TypeError:
-                kind = type(value).__name__
-                raise ValueError(f"coefficient {name} must be a real number, got {kind}") from None
-            if not math.isfinite(value):
-                raise ValueError(f"coefficient {name} must be finite")
+            value = _real(getattr(self, name), f"coefficient {name}")
             if value < 0.0:
                 raise ValueError(f"coefficient {name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
@@ -95,7 +88,7 @@ class AncillaAssignment:
     """The six ancilla kets attached to the cloner's six terms.
 
     ``anc_a0`` is the ancilla state multiplying the a-term of the input-0
-    column, and so on.  All six must be unit vectors.
+    column, and so on.  All six must be unit vectors, to 1e-12.
     """
 
     anc_a0: np.ndarray
@@ -107,12 +100,7 @@ class AncillaAssignment:
 
     def __post_init__(self):
         for name in ("anc_a0", "anc_b0", "anc_c0", "anc_a1", "anc_b1", "anc_c1"):
-            ket = as_matrix(getattr(self, name), name)
-            if ket.shape != (2,):
-                raise ValueError(f"{name} must be a 2-dimensional ket")
-            norm = float(np.linalg.norm(ket))
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"{name} has norm {norm}, expected 1")
+            ket = _unit_ket(getattr(self, name), name, atol=1e-12)
             ket.setflags(write=False)
             object.__setattr__(self, name, ket)
 
@@ -142,7 +130,7 @@ def build_isometry(
     :class:`UnitarityError`.
     """
     isometry = np.ascontiguousarray(isometry_batch([tuple(coeffs)], ancilla)[0])
-    gram_defect = float(np.abs(dagger(isometry) @ isometry - np.eye(2)).max())
+    gram_defect = float(np.abs(isometry.conj().T @ isometry - np.eye(2)).max())
     if gram_defect > ATOL_INPUT:
         raise UnitarityError(
             f"columns are not orthonormal (defect {gram_defect:.3e}); "
@@ -157,22 +145,13 @@ def apply_cloner(isometry, psi) -> np.ndarray:
     isometry = as_matrix(isometry, "isometry")
     if isometry.shape != (8, 2):
         raise ValueError(f"isometry must be 8x2, got shape {isometry.shape}")
-    psi = as_matrix(psi, "psi")
-    if psi.shape != (2,):
-        raise ValueError(f"input must be a 2-dimensional ket, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > ATOL_INPUT:
-        raise ValueError(f"input ket has norm {norm}, expected 1")
-    out = isometry @ psi
+    out = isometry @ _unit_ket(psi, "psi")
     return np.outer(out, out.conj())
 
 
 def copy_state(rho_out, which_copy: int) -> np.ndarray:
     """Reduced 2x2 density operator of output copy 1 or 2."""
-    try:
-        index = operator.index(which_copy)  # no silent truncation of 1.0
-    except TypeError:
-        index = None
+    index = _integer(which_copy, "which_copy")
     if index not in (1, 2):
         raise ValueError(f"which_copy must be 1 or 2, got {which_copy!r}")
     rho_out = as_matrix(rho_out, "rho_out")
@@ -190,11 +169,7 @@ def fidelity(psi, rho) -> float:
     :func:`~pairclone.linalg.bloch_from_density`.  The value is then real
     up to roundoff, and that imaginary residue is discarded.
     """
-    psi = as_matrix(psi, "psi")
-    if psi.shape != (2,):
-        raise ValueError(f"psi must be a 2-dimensional ket, got shape {psi.shape}")
-    if abs(float(np.linalg.norm(psi)) - 1.0) > ATOL_INPUT:
-        raise ValueError("psi must be a unit vector")
+    psi = _unit_ket(psi, "psi")
     return complex(expectation(psi, _density_operator(rho))).real
 
 

@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import bloch_vectors
+from .linalg import _REAL_KINDS, _integer, _real, bloch_vectors
 
 PHI_MIN = 0.0
 PHI_MAX = math.pi / 2
@@ -40,12 +40,7 @@ _SECOND = [j - 1 for _, j in PAIRS]
 
 def check_angle(phi: float) -> float:
     """Validate ``phi`` in [0, pi/2] radians and return it as a float."""
-    try:
-        phi = float(phi)
-    except TypeError:
-        raise ValueError(f"angle must be a real number, got {type(phi).__name__}") from None
-    if not math.isfinite(phi):
-        raise ValueError("angle must be finite")
+    phi = _real(phi, "angle")
     if phi < PHI_MIN or phi > PHI_MAX:
         raise ValueError(f"angle {phi} outside [0, pi/2]")
     return phi
@@ -75,7 +70,7 @@ def angle_terms(phis):
         phi = check_angle(phis)
         sin, cos = math.sin(phi), math.cos(phi)
         return sin ** 2, cos ** 2, math.sqrt(sin ** 4 + cos ** 4)
-    real = phis.dtype.kind in "iuf"  # numpy orders complex numbers by their real part
+    real = phis.dtype.kind in _REAL_KINDS  # numpy orders complex numbers by their real part
     if phis.ndim != 1 or not real or not ((phis >= PHI_MIN) & (phis <= PHI_MAX)).all():
         raise ValueError("angles must be an (N,) array of values in [0, pi/2]")
     values = phis.tolist()
@@ -101,14 +96,17 @@ class FourStateEnsemble:
     degenerate: bool
 
     def state(self, label: int) -> np.ndarray:
-        if label not in (1, 2, 3, 4):
-            raise ValueError(f"state label must be 1..4, got {label}")
-        return self.states[label - 1]
+        return self.states[_label_index(label)]
 
     def bloch_vector(self, label: int) -> np.ndarray:
-        if label not in (1, 2, 3, 4):
-            raise ValueError(f"state label must be 1..4, got {label}")
-        return self.bloch[label - 1]
+        return self.bloch[_label_index(label)]
+
+
+def _label_index(label) -> int:
+    label = _integer(label, "state label")
+    if label not in (1, 2, 3, 4):
+        raise ValueError(f"state label must be 1..4, got {label}")
+    return label - 1
 
 
 def family(phis) -> tuple[np.ndarray, np.ndarray]:

@@ -5,10 +5,18 @@ or 8 (one qubit in, three qubits out), so all arithmetic is exact dense
 ``complex128``.  Subsystem ordering is big-endian throughout: for three
 qubits the basis index is ``i0*4 + i1*2 + i2``, matching nested
 ``numpy.kron`` with the first factor outermost.
+
+Outside values pass one gate per kind, each rule written once: a real number
+(:func:`_real`) is a finite int or float of NumPy dtype kind ``iuf`` or a 0-d
+array of one, an integer (:func:`_integer`) what ``operator.index`` takes,
+an array (:func:`as_matrix`) one of ints, floats or complex numbers, and a
+unit ket (:func:`_unit_ket`) one of shape (2,) and norm 1 within 1e-9.  No
+gate takes a bool or a string; only :func:`as_matrix` takes complex values.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -28,15 +36,40 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 
+_REAL_KINDS = "iuf"  # NumPy dtype kinds of real numbers: int, unsigned int, float
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is a real number, else ValueError naming ``name``."""
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in _REAL_KINDS:
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite")
+    return number
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, never truncated from 1.0 or read from True."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} takes integers only, got {value!r}") from None
+
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex array with finite entries and admitted axis lengths.
 
-    Accepts 1-d arrays (kets) and 2-d arrays (operators).  This is the
-    single gate through which outside data enters the package, so NaN and
-    Inf are rejected here once and for all.
+    Accepts 1-d arrays (kets) and 2-d arrays (operators) of numbers; bools,
+    strings, NaN and Inf entries are rejected.
     """
-    arr = np.asarray(values, dtype=complex)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in _REAL_KINDS + "c":
+        raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    arr = arr.astype(complex, copy=False)
     if arr.ndim not in (1, 2):
         raise ValueError(f"{name} must be 1-d or 2-d, got ndim={arr.ndim}")
     for length in arr.shape:
@@ -49,9 +82,15 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+def _unit_ket(values, name: str, atol: float = ATOL_INPUT) -> np.ndarray:
+    """``values`` as a 2-dimensional ket of norm 1 within ``atol``."""
+    ket = as_matrix(values, name)
+    if ket.shape != (2,):
+        raise ValueError(f"{name} must be a 2-dimensional ket, got shape {ket.shape}")
+    norm = float(np.linalg.norm(ket))
+    if abs(norm - 1.0) > atol:
+        raise ValueError(f"{name} has norm {norm}, expected 1")
+    return ket
 
 
 def tensor(a, b) -> np.ndarray:
@@ -89,13 +128,8 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     rho = as_matrix(rho, "rho")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"rho must be square, got shape {rho.shape}")
-    try:
-        dims = [operator.index(d) for d in dims]  # no silent truncation
-        keep = operator.index(keep)
-    except TypeError:
-        raise ValueError(
-            f"subsystem dimensions and keep must be integers, got {dims!r} and {keep!r}"
-        ) from None
+    dims = [_integer(d, "subsystem dimension") for d in dims]
+    keep = _integer(keep, "keep")
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
     total = int(np.prod(dims))
@@ -123,7 +157,7 @@ def density_from_bloch(m) -> np.ndarray:
     states sit on the unit sphere, mixed states strictly inside.
     """
     m = np.asarray(m)
-    if np.iscomplexobj(m):
+    if m.dtype.kind not in _REAL_KINDS:
         raise ValueError(f"Bloch vector must be real, got dtype {m.dtype}")
     m = m.astype(float)
     if m.shape != (3,):
@@ -142,7 +176,7 @@ def _density_operator(rho) -> np.ndarray:
     rho = as_matrix(rho, "rho")
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    herm_defect = float(np.abs(rho - dagger(rho)).max())
+    herm_defect = float(np.abs(rho - rho.conj().T).max())
     if herm_defect > ATOL_INPUT:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     trace_defect = abs(complex(np.trace(rho)) - 1.0)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloner import ClonerCoefficients, constraint_defect, fidelity_closed_form
 from .ensemble import angle_terms, check_angle
+from .linalg import _integer
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -176,10 +176,7 @@ def check_grid_density(grid_density, name: str = "grid_density") -> int:
     """``grid_density`` as an int, if it is an integer in
     [MIN_GRID_DENSITY, MAX_GRID_DENSITY]; otherwise ValueError, whose
     message calls the value ``name``."""
-    try:
-        grid_density = operator.index(grid_density)  # no silent truncation
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {grid_density!r}") from None
+    grid_density = _integer(grid_density, name)
     if not MIN_GRID_DENSITY <= grid_density <= MAX_GRID_DENSITY:
         raise ValueError(
             f"{name} must be between {MIN_GRID_DENSITY} and "

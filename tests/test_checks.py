@@ -117,7 +117,7 @@ def test_parameters_validated(monkeypatch):
         raise AssertionError("a check block ran before the arguments were checked")
 
     monkeypatch.setattr(checks, "_grid_deviations", no_work)
-    for bad in [1, 2.5]:
+    for bad in [1, 2.5, True]:
         with pytest.raises(ValueError):
             run_checks(grid=bad)
 

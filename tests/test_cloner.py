@@ -52,7 +52,10 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="nonnegative"):
             ClonerCoefficients(a=-1.0, b=0.0, c=0.0)
 
-    @pytest.mark.parametrize("bad", [None, 1 + 0j])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad", [None, 1 + 0j, "0.5", True, np.complex128(0.3 + 1j), pytest.param(10**400, id="10**400")]
+    )
     def test_non_number_rejected(self, bad):
         with pytest.raises(ValueError, match="coefficient a must be a real number, got "):
             ClonerCoefficients(a=bad, b=0.0, c=0.0)
@@ -61,6 +64,10 @@ class TestCoefficients:
         ClonerCoefficients(a=1.0, b=0.0, c=0.0)
         ClonerCoefficients(a=0.0, b=0.0, c=1.0)
         ClonerCoefficients(a=0.0, b=math.sqrt(0.5), c=0.0)
+        # NumPy scalars and 0-d arrays are real numbers, stored as floats
+        numpy_kinds = ClonerCoefficients(a=np.float32(0.5), b=np.array(0.5), c=0.5)
+        assert numpy_kinds == ClonerCoefficients(0.5, 0.5, 0.5)
+        assert tuple(map(type, ClonerCoefficients(np.int64(1), 0, 0))) == (float, float, float)
 
     def test_defect_reported(self):
         cc = ClonerCoefficients(a=0.5, b=0.5, c=0.5)
@@ -149,6 +156,9 @@ class TestApplyAndReduce:
             copy_state(rho, 3)
         with pytest.raises(ValueError, match="which_copy"):
             copy_state(rho, 1.0)
+        with pytest.raises(ValueError, match="which_copy"):
+            copy_state(rho, True)  # not copy 1
+        assert np.array_equal(copy_state(rho, np.int64(2)), copy_state(rho, 2))
 
 
 class TestFidelity:

@@ -16,6 +16,7 @@ from pairclone.linalg import SIGMA_X, bloch_from_density
 TOL = 1e-12
 
 
+@pytest.mark.filterwarnings("error")  # a bad angle raises at once, it never warns
 def test_angle_bounds():
     assert check_angle(0.0) == 0.0
     assert check_angle(math.pi / 2) == math.pi / 2
@@ -27,6 +28,13 @@ def test_angle_bounds():
         check_angle(math.nan)
     with pytest.raises(ValueError, match="angle must be a real number, got NoneType"):
         check_angle(None)
+    # no parsing from text, no bool as 1, no dropped imaginary part, no OverflowError
+    for bad in ["0.5", True, np.complex128(0.3 + 1j), 10**400]:
+        with pytest.raises(ValueError, match="angle must be a real number, got "):
+            check_angle(bad)
+    for good in [np.float32(0.5), np.int64(1), np.array(0.5)]:
+        phi = check_angle(good)
+        assert type(phi) is float and phi == float(good)
     with pytest.raises(ValueError):
         make_ensemble(-0.01)
 
@@ -147,3 +155,9 @@ def test_bad_label_rejected():
         ens.state(0)
     with pytest.raises(ValueError):
         ens.bloch_vector(5)
+    for bad in [True, 1.0]:  # neither read as label 1
+        with pytest.raises(ValueError, match="state label"):
+            ens.state(bad)
+        with pytest.raises(ValueError, match="state label"):
+            ens.bloch_vector(bad)
+    assert ens.state(np.int64(2)) is ens.state(2)

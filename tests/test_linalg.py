@@ -97,6 +97,10 @@ class TestTensor:
         bad = np.array([[np.nan, 0], [0, 1]])
         with pytest.raises(ValueError, match="NaN"):
             tensor(bad, IDENTITY_2)
+        # entries must be numbers: strings are not parsed, bools not read as 0 and 1
+        for not_numbers in (["1", "0"], [True, False]):
+            with pytest.raises(ValueError, match="must hold numbers"):
+                tensor(not_numbers, [1, 0])
 
 
 class TestPartialTrace:
@@ -141,6 +145,10 @@ class TestPartialTrace:
             partial_trace(np.eye(4, dtype=complex), [2.9, 2.2], 0)
         with pytest.raises(ValueError, match="integers"):
             partial_trace(np.eye(4, dtype=complex), [2, 2], 0.5)
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(np.eye(4, dtype=complex), [2, 2], True)  # not subsystem 1
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(np.eye(4, dtype=complex), [True, 4], 0)
 
 
 class TestBlochMaps:
@@ -164,8 +172,10 @@ class TestBlochMaps:
             density_from_bloch([1.0, 1.0, 0.0])
 
     def test_complex_input_rejected(self):
-        # an ndarray would otherwise lose its imaginary part with a warning
-        for m in (np.array([0.3 + 0.5j, 0.0, 0.0]), [0.3 + 0.5j, 0.0, 0.0]):
+        # an ndarray would otherwise lose its imaginary part with a warning;
+        # strings and bools are not real numbers either
+        complex_ = [np.array([0.3 + 0.5j, 0.0, 0.0]), [0.3 + 0.5j, 0.0, 0.0]]
+        for m in (*complex_, ["0.1", "0", "0"], [True, False, False]):
             with pytest.raises(ValueError, match="real"):
                 density_from_bloch(m)
 

@@ -163,8 +163,12 @@ class TestNumericOracle:
             numeric_optimize(0.5, grid_density=32)
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=100.7)  # not truncated to 100
+        with pytest.raises(ValueError, match="grid_density"):
+            numeric_optimize(0.5, grid_density=True)
         with pytest.raises(ValueError):
             numeric_optimize(3.0)
+        with pytest.raises(ValueError, match="angle must be a real number, got bool"):
+            numeric_optimize(True)  # not a search at phi = 1
         assert numeric_optimize(0.5, grid_density=np.int64(64)) == numeric_optimize(0.5, grid_density=64)
 
     def test_oversized_grid_rejected_before_allocation(self, monkeypatch):
