@@ -88,7 +88,7 @@ class AncillaAssignment:
     """The six ancilla kets attached to the cloner's six terms.
 
     ``anc_a0`` is the ancilla state multiplying the a-term of the input-0
-    column, and so on.  All six must be unit vectors, to 1e-12.
+    column, and so on.  All six must have norm 1 within 1e-12.
     """
 
     anc_a0: np.ndarray

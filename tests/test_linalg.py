@@ -174,8 +174,13 @@ class TestBlochMaps:
     def test_complex_input_rejected(self):
         # an ndarray would otherwise lose its imaginary part with a warning;
         # strings and bools are not real numbers either
-        complex_ = [np.array([0.3 + 0.5j, 0.0, 0.0]), [0.3 + 0.5j, 0.0, 0.0]]
-        for m in (*complex_, ["0.1", "0", "0"], [True, False, False]):
+        not_real = (
+            np.array([0.3 + 0.5j, 0.0, 0.0]),
+            [0.3 + 0.5j, 0.0, 0.0],
+            ["0.1", "0", "0"],
+            [True, False, False],
+        )
+        for m in not_real:
             with pytest.raises(ValueError, match="real"):
                 density_from_bloch(m)
 
