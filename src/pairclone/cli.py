@@ -141,10 +141,7 @@ def _write_sweep(args, handle) -> None:
         block = phis[start:start + _SWEEP_BLOCK]
         columns = [column.tolist() for column in (block, *optimum(block))]
         if args.with_oracle:
-            columns.append([
-                numeric_optimize(phi, grid_density=args.oracle_grid).best_fidelity
-                for phi in columns[0]
-            ])
+            columns.append(numeric_optimize(block, grid_density=args.oracle_grid).best_fidelity.tolist())
         handle.write("".join([row % values for values in zip(*columns)]))
 
 

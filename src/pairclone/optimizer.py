@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloner import ClonerCoefficients, constraint_defect, fidelity_closed_form
-from .ensemble import angle_terms, check_angle
+from .ensemble import angle_terms
 from .linalg import _integer
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -44,6 +44,8 @@ DEFAULT_GRID_DENSITY = 256
 _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
 _MAX_ROUNDS = 60
+_BATCH = 8  # searches refined together
+_NODES = np.arange(_REFINE_INTERVALS + 1.0)  # node indices of a later round's axis
 
 
 class ConvergenceError(RuntimeError):
@@ -57,20 +59,23 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NumericSearchReport:
-    """Outcome of the derivative-free constrained maximisation.
+    """Outcome of the derivative-free constrained maximisation, at one
+    angle or, as (N,) arrays, at each of N angles.
 
     The first of ``rounds`` grids has (grid_density + 1)^2 nodes and each
-    later one 65^2, so
-    ``evaluations == (grid_density + 1) ** 2 + (rounds - 1) * 65 ** 2``.
-    ``achieved_tolerance`` is the largest improvement of the incumbent
-    fidelity over the final three rounds (inf while fewer than three ran).
+    later one 65^2, so a search makes (grid_density + 1)^2 +
+    (rounds - 1) 65^2 evaluations; ``evaluations`` is their total over
+    the call, a Python int.  ``achieved_tolerance`` is the largest
+    improvement of the incumbent fidelity over the final three rounds (inf
+    while fewer than three ran).  At N angles ``best_coeffs`` is three
+    (N,) arrays a, b, c.
     """
 
-    best_coeffs: ClonerCoefficients
-    best_fidelity: float
+    best_coeffs: ClonerCoefficients | tuple
+    best_fidelity: float | np.ndarray
     evaluations: int
-    achieved_tolerance: float
-    rounds: int
+    achieved_tolerance: float | np.ndarray
+    rounds: int | np.ndarray
 
 
 def optimum(phis):
@@ -129,23 +134,30 @@ def recover_multiplier(coeffs, phi):
     return fidelity_closed_form(coeffs, phi) - 0.5
 
 
-def _chart_terms(ts, us):
+def _chart_terms(ts, us, out=(None, None, None)):
     """Angle-free terms (0.5 (a^2 - c^2), b (a + c)) of the objective at
     every node of the ``ts`` x ``us`` grid in the chart of
-    :func:`numeric_optimize`: two (len(ts), len(us)) arrays.
+    :func:`numeric_optimize`: two (..., len(ts), len(us)) arrays, in
+    ``out[2]`` and ``out[0]`` if given (``out[1]`` is scratch).
 
     The chart is separable, so sin/cos are taken on the two axes only and
     broadcast.
     """
-    sin_t = np.sin(ts)[:, None]
-    bb = (np.cos(ts) * _SQRT_HALF)[:, None]
-    aa = sin_t * np.cos(us)
-    cc = sin_t * np.sin(us)
-    return 0.5 * (aa * aa - cc * cc), (aa + cc) * bb
+    sin_t = np.sin(ts)[..., None]
+    bb = (np.cos(ts) * _SQRT_HALF)[..., None]
+    aa = np.multiply(sin_t, np.cos(us)[..., None, :], out=out[0])
+    cc = np.multiply(sin_t, np.sin(us)[..., None, :], out=out[1])
+    half_diff = np.multiply(aa, aa, out=out[2])
+    mixed = np.add(aa, cc, out=aa)
+    half_diff -= np.multiply(cc, cc, out=cc)
+    half_diff *= 0.5
+    mixed *= bb
+    return half_diff, mixed
 
 
-def _objective(terms, cos2, sin2) -> np.ndarray:
-    """Objective at every node of a grid, from its :func:`_chart_terms`.
+def _objective(terms, cos2, sin2, out=(None, None)) -> np.ndarray:
+    """Objective at every node of a grid, from its :func:`_chart_terms`
+    (in ``out[0]`` if given, ``out[1]`` being scratch).
 
     With those terms this keeps the operation order of
       f = 0.5 + 0.5 (a^2 - c^2) cos2 + b (a + c) sin2
@@ -153,7 +165,10 @@ def _objective(terms, cos2, sin2) -> np.ndarray:
     bit-identical to evaluating the formula on a full meshgrid.
     """
     half_diff, mixed = terms
-    return half_diff * cos2 + 0.5 + mixed * sin2
+    ff = np.multiply(half_diff, cos2, out=out[0])
+    ff += 0.5
+    ff += np.multiply(mixed, sin2, out=out[1])
+    return ff
 
 
 @functools.lru_cache(maxsize=1)
@@ -185,9 +200,10 @@ def check_grid_density(grid_density, name: str = "grid_density") -> int:
     return grid_density
 
 
-def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> NumericSearchReport:
+def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_DENSITY) -> NumericSearchReport:
     """Maximise the closed-form fidelity over the constraint surface by
-    nested grid refinement, independently of the closed-form solution.
+    nested grid refinement, independently of the closed-form solution, at
+    angle ``phi`` or at each angle of an (N,) array.
 
     The surface a^2 + 2b^2 + c^2 = 1 restricted to nonnegative
     coefficients is parametrised by two angles in [0, pi/2]:
@@ -197,8 +213,7 @@ def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> Nu
     The first round evaluates a (grid_density + 1)^2 grid over the whole
     chart; each round then shrinks the search window to +-4 spacings of
     the grid it just evaluated around the incumbent best, and every later
-    round evaluates a 65^2 grid (64 intervals) there, so
-    ``evaluations == (grid_density + 1) ** 2 + (rounds - 1) * 65 ** 2``.
+    round evaluates a 65^2 grid (64 intervals) there.
     A single round can fail to improve just because window clipping moved
     the nodes, or because its best node is already the nearest to the
     optimum, so refinement stops only after three consecutive rounds
@@ -216,16 +231,61 @@ def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> Nu
     terms are built by the first search at a grid density and reused by
     every later one at that density, until a search at another density
     replaces them (two (grid_density + 1)^2 float64 arrays, 1.06 MB at
-    256 and 67 MB at 2048).
+    256 and 67 MB at 2048).  Each search runs its first round alone and
+    its later ones in batches of up to 8 searches, as (m, 65, 65) arrays,
+    in work arrays allocated once per call (two more of the first round's
+    size, and 0.8 MB).  Each element of an array call has the bits of the
+    call at that one angle.
     """
-    phi = check_angle(phi)  # one angle: angle_terms alone would take an array
-    grid_density = check_grid_density(grid_density)
-
     sin2, cos2, _ = angle_terms(phi)
-    half_pi = math.pi / 2
+    grid_density = check_grid_density(grid_density)
+    single = np.ndim(sin2) == 0
+    sin2, cos2 = np.atleast_1d(sin2, cos2)
     ts, terms = _first_round(grid_density)
+    side = _REFINE_INTERVALS + 1
+    first, work = np.empty((2, *terms[0].shape)), np.empty((3, _BATCH, side, side))
+    pending = ((i, _search(c, s, ts, terms, first)) for i, (c, s) in enumerate(zip(cos2, sin2)))
+    results, active = [None] * len(sin2), []  # active: (index, search, window of its next round)
+
+    def advance(index, search, sent):
+        try:
+            active.append((index, search, search.send(sent)))
+        except StopIteration as stop:
+            results[index] = stop.value
+
+    while True:
+        while len(active) < _BATCH and (item := next(pending, None)):
+            advance(*item, None)
+        if not active:
+            break
+        batch, active = active, []
+        m, indices = len(batch), [index for index, _, _ in batch]
+        lo, hi = np.array([window for _, _, window in batch]).T.reshape(2, 2, m)
+        # the t and u axes by np.linspace's operations, without its overhead
+        axes = _NODES * ((hi - lo) / _REFINE_INTERVALS)[..., None] + lo[..., None]
+        axes[..., -1] = hi
+        half_diff, mixed = _chart_terms(*axes, out=work[:, :m])
+        ff = _objective((half_diff, mixed), cos2[indices, None, None], sin2[indices, None, None],
+                        out=(half_diff, work[1, :m]))
+        for k, (index, search, _) in enumerate(batch):
+            advance(index, search, (axes[0, k], axes[1, k], ff[k]))
+
+    evaluations = len(results) * (grid_density + 1) ** 2 + sum(r[2] - 1 for r in results) * side**2
+    if single:
+        best_f, achieved, rounds, a, b, c = results[0]
+        return NumericSearchReport(ClonerCoefficients(a, b, c), best_f, evaluations, achieved, rounds)
+    best_f, achieved, rounds, a, b, c = np.array(results, dtype=float).reshape(-1, 6).T
+    return NumericSearchReport((a, b, c), best_f, evaluations, achieved, rounds.astype(int))
+
+
+def _search(cos2, sin2, ts, terms, first):
+    """One search of :func:`numeric_optimize`: it evaluates the first round
+    into ``first``, then yields the window (t_lo, u_lo, t_hi, u_hi) of each
+    later round and is sent its (ts, us, ff).  Returns the report's fields."""
+    half_pi = math.pi / 2
     us = ts
-    intervals = grid_density
+    ff = _objective(terms, cos2, sin2, first)
+    intervals = len(ts) - 1
 
     t_lo, t_hi = 0.0, half_pi
     u_lo, u_hi = 0.0, half_pi
@@ -234,8 +294,6 @@ def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> Nu
     improvements = []  # per round; the first is inf
 
     for _ in range(_MAX_ROUNDS):
-        ff = _objective(terms, cos2, sin2)
-
         flat_index = int(np.argmax(ff))  # first max = smallest (t, u)
         row, col = divmod(flat_index, intervals + 1)
         round_best = float(ff[row, col])
@@ -262,9 +320,7 @@ def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> Nu
         u_lo = max(0.0, best_u - 4 * h_u)
         u_hi = min(half_pi, best_u + 4 * h_u)
         intervals = _REFINE_INTERVALS
-        ts = np.linspace(t_lo, t_hi, intervals + 1)
-        us = np.linspace(u_lo, u_hi, intervals + 1)
-        terms = _chart_terms(ts, us)
+        ts, us, ff = yield t_lo, u_lo, t_hi, u_hi
     else:
         raise ConvergenceError(
             f"no convergence after {_MAX_ROUNDS} rounds; largest improvement "
@@ -272,16 +328,5 @@ def numeric_optimize(phi: float, grid_density: int = DEFAULT_GRID_DENSITY) -> Nu
             achieved_tolerance=achieved,
         )
 
-    rounds = len(improvements)
-    coeffs = ClonerCoefficients(
-        a=math.sin(best_t) * math.cos(best_u),
-        b=math.cos(best_t) * _SQRT_HALF,
-        c=math.sin(best_t) * math.sin(best_u),
-    )
-    return NumericSearchReport(
-        best_coeffs=coeffs,
-        best_fidelity=best_f,
-        evaluations=(grid_density + 1) ** 2 + (rounds - 1) * (_REFINE_INTERVALS + 1) ** 2,
-        achieved_tolerance=achieved,
-        rounds=rounds,
-    )
+    a, b = math.sin(best_t) * math.cos(best_u), math.cos(best_t) * _SQRT_HALF
+    return best_f, achieved, len(improvements), a, b, math.sin(best_t) * math.sin(best_u)

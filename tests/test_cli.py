@@ -245,11 +245,12 @@ def test_one_default_oracle_grid(capsys, monkeypatch):
     # numeric_optimize's default, sweep --oracle-grid's default and verify's grid
     assert inspect.signature(numeric_optimize).parameters["grid_density"].default == DEFAULT_GRID_DENSITY
     assert cli._build_parser().parse_args(["sweep"]).oracle_grid == DEFAULT_GRID_DENSITY
-    grids = []  # the oracle is stubbed, so its two checks fail
-    stub = SimpleNamespace(best_fidelity=0.0, best_coeffs=(0.0, 0.0, 0.0))
-    monkeypatch.setattr(optimizer, "numeric_optimize", lambda phi, **kw: grids.append(kw) or stub)
+    calls = []  # the oracle is stubbed, so its two checks fail
+    stub = SimpleNamespace(best_fidelity=np.zeros(25), best_coeffs=(np.zeros(25),) * 3)
+    monkeypatch.setattr(optimizer, "numeric_optimize", lambda phi, **kw: calls.append((phi, kw)) or stub)
     run_cli(capsys, "verify", "--steps", "2")
-    assert len(grids) == 25 and not any(grids)  # every search at the signature default
+    # one call of all 25 searches, at the signature default
+    assert len(calls) == 1 and calls[0][0].shape == (25,) and calls[0][1] == {}
 
 
 @pytest.mark.parametrize("command", ["sweep"])  # the commands that take --oracle-grid
@@ -259,7 +260,7 @@ def test_oracle_grid_upper_bound(capsys, monkeypatch, command):
     monkeypatch.setattr(
         cli,
         "numeric_optimize",
-        lambda phi, grid_density: grids.append(grid_density) or SimpleNamespace(best_fidelity=1.0),
+        lambda phis, grid_density: grids.append(grid_density) or SimpleNamespace(best_fidelity=np.ones(len(phis))),
     )
     argv = [command, "--steps", "2", "--with-oracle"]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -198,43 +199,79 @@ class TestNumericOracle:
 @pytest.mark.parametrize("grid_density", [64, 128, 256])
 def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     """Every round's nodes, on every window real searches visit, equal the
-    objective evaluated on a full meshgrid, byte for byte; the first
-    round's come from the cached terms."""
+    objective evaluated on a full meshgrid, byte for byte: each first
+    round, from the cached terms, and each search's window in every
+    batched later round."""
     chart_terms, objective = optimizer._chart_terms, optimizer._objective
+    full = np.linspace(0.0, math.pi / 2, grid_density + 1)
+    cached = optimizer._first_round(grid_density)[1]
     windows = []
-    axes = None  # of the round being evaluated
+    axes = None  # of the batch being evaluated, each (m, 65)
 
-    def recording_axes(ts, us):
+    def recording_axes(ts, us, out):
         nonlocal axes
         axes = ts, us
-        return chart_terms(ts, us)
+        for axis in (*ts, *us):  # the nodes of np.linspace over each window
+            assert axis.tobytes() == np.linspace(axis[0], axis[-1], 65).tobytes()
+        return chart_terms(ts, us, out)
 
-    def against_meshgrid(terms, cos2, sin2):
-        ff = objective(terms, cos2, sin2)
-        ts, us = axes
-        tt, uu = np.meshgrid(ts, us, indexing="ij")
-        sin_tt = np.sin(tt)
-        aa = sin_tt * np.cos(uu)
-        cc = sin_tt * np.sin(uu)
-        bb = np.cos(tt) * math.sqrt(0.5)
-        reference = 0.5 + 0.5 * (aa * aa - cc * cc) * cos2 + bb * (aa + cc) * sin2
-        windows.append((ts[0], ts[-1], us[0], us[-1]))
-        assert ff.tobytes() == reference.tobytes(), windows[-1]
+    def against_meshgrid(terms, cos2, sin2, out):
+        ff = objective(terms, cos2, sin2, out)
+        if ff.ndim == 2:  # a first round
+            assert terms is cached
+            grids = [(full, full, ff, cos2, sin2)]
+        else:
+            grids = zip(*axes, ff, cos2[:, 0, 0], sin2[:, 0, 0])
+        for ts, us, f, c2, s2 in grids:
+            tt, uu = np.meshgrid(ts, us, indexing="ij")
+            sin_tt = np.sin(tt)
+            aa = sin_tt * np.cos(uu)
+            cc = sin_tt * np.sin(uu)
+            bb = np.cos(tt) * math.sqrt(0.5)
+            reference = 0.5 + 0.5 * (aa * aa - cc * cc) * c2 + bb * (aa + cc) * s2
+            windows.append((ts[0], ts[-1], us[0], us[-1]))
+            assert f.tobytes() == reference.tobytes(), windows[-1]
         return ff
 
     monkeypatch.setattr(optimizer, "_chart_terms", recording_axes)
     monkeypatch.setattr(optimizer, "_objective", against_meshgrid)
-    full = np.linspace(0.0, math.pi / 2, grid_density + 1)
     seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 20)
-    hits = optimizer._first_round.cache_info().hits
-    rounds = 0
-    for phi in [0.0, math.pi / 4, math.pi / 2, *map(float, seeded)]:
-        axes = full, full
-        report = numeric_optimize(phi, grid_density=grid_density)
-        assert report.evaluations == (grid_density + 1) ** 2 + (report.rounds - 1) * 65**2
-        rounds += report.rounds
+    phis = np.array([0.0, math.pi / 4, math.pi / 2, *seeded])
+    report = numeric_optimize(phis, grid_density=grid_density)
+    rounds = int(report.rounds.sum())
+    assert report.evaluations == len(phis) * (grid_density + 1) ** 2 + (rounds - len(phis)) * 65**2
     assert len(windows) == rounds
-    assert optimizer._first_round.cache_info().hits >= hits + 22
+
+
+# Within a few milliradians of an endpoint the first round's best node is
+# (or sits next to) the endpoint optimum, and later rounds can gain nothing
+# for several rounds while the optimum is still far from a node.
+NEAR_ENDPOINTS = [x for gap in np.geomspace(5e-4, 1e-2, 6) for x in (gap, math.pi / 2 - gap)]
+
+
+@pytest.mark.parametrize("grid_density", [64, 128, 256])
+def test_array_form_has_the_bits_of_the_float_form(grid_density):
+    """Each search of an array call equals the call at its one angle, in
+    every field, whatever its place in the batches of 8: on verify's 25
+    angles (the endpoints among them), the near-endpoint stall angles and
+    400 seeded ones, in arrays of 1, 7, 8, 9 and 25 angles."""
+    phis = np.array([*np.linspace(0, math.pi / 2, 25), *NEAR_ENDPOINTS,
+                     *np.random.default_rng(3000 + grid_density).uniform(0, math.pi / 2, 400)])
+    singles = [numeric_optimize(phi, grid_density=grid_density) for phi in phis.tolist()]
+    start, lengths = 0, itertools.cycle([1, 7, 8, 9, 25])
+    while start < len(phis):
+        stop = min(start + next(lengths), len(phis))
+        report, expected = numeric_optimize(phis[start:stop], grid_density=grid_density), singles[start:stop]
+        assert type(report.evaluations) is int
+        assert report.evaluations == sum(single.evaluations for single in expected)
+        assert report.rounds.tolist() == [single.rounds for single in expected]
+        for field in ("best_fidelity", "achieved_tolerance"):
+            assert [x.hex() for x in getattr(report, field).tolist()] == [
+                getattr(single, field).hex() for single in expected
+            ], field
+        for k, column in enumerate(report.best_coeffs):
+            assert [x.hex() for x in column.tolist()] == [tuple(single.best_coeffs)[k].hex() for single in expected]
+        start = stop
 
 
 class TestFirstRoundCache:
@@ -265,12 +302,6 @@ class TestFirstRoundCache:
                 optimizer._first_round.cache_clear()
                 fresh.append(numeric_optimize(phi, grid_density=grid))
         assert cached == fresh
-
-
-# Within a few milliradians of an endpoint the first round's best node is
-# (or sits next to) the endpoint optimum, and later rounds can gain nothing
-# for several rounds while the optimum is still far from a node.
-NEAR_ENDPOINTS = [x for gap in np.geomspace(5e-4, 1e-2, 6) for x in (gap, math.pi / 2 - gap)]
 
 
 @pytest.mark.parametrize(
