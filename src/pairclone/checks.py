@@ -219,9 +219,9 @@ def run_checks(grid: int = 1000) -> list[CheckResult]:
     )
 
     # --- independent grid-search oracle ------------------------------------
-    search = optimizer.numeric_optimize(coarse_phis)  # at DEFAULT_GRID_DENSITY
-    oracle_f = np.abs(search.best_fidelity - coarse_f)
-    oracle_c = np.abs(np.column_stack(search.best_coeffs) - np.column_stack(coarse_coeffs))
+    searches = optimizer.numeric_optimize(coarse_phis)  # at DEFAULT_GRID_DENSITY
+    oracle_f = np.abs(searches.best_fidelity - coarse_f)
+    oracle_c = np.abs(np.column_stack(searches.best_coeffs) - np.column_stack(coarse_coeffs))
     results.append(_worst("oracle fidelity agreement", oracle_f, _ORACLE_FIDELITY_BOUND, at_coarse))
     results.append(_worst("oracle coefficient agreement", oracle_c, _ORACLE_COEFF_BOUND, at_coarse))
 

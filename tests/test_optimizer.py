@@ -202,17 +202,30 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     objective evaluated on a full meshgrid, byte for byte: each first
     round, from the cached terms, and each search's window in every
     batched later round."""
-    chart_terms, objective = optimizer._chart_terms, optimizer._objective
+    chart_terms, objective, search = optimizer._chart_terms, optimizer._objective, optimizer._search
     full = np.linspace(0.0, math.pi / 2, grid_density + 1)
     cached = optimizer._first_round(grid_density)[1]
     windows = []
+    asked = set()  # every window (t_lo, u_lo, t_hi, u_hi) a search yielded
     axes = None  # of the batch being evaluated, each (m, 65)
+
+    def recording_search(*args):
+        steps, sent = search(*args), None
+        while True:
+            try:
+                window = steps.send(sent)
+            except StopIteration as stop:
+                return stop.value
+            asked.add(window)
+            sent = yield window
 
     def recording_axes(ts, us, out):
         nonlocal axes
         axes = ts, us
-        for axis in (*ts, *us):  # the nodes of np.linspace over each window
-            assert axis.tobytes() == np.linspace(axis[0], axis[-1], 65).tobytes()
+        for t_axis, u_axis in zip(ts, us):  # np.linspace over a window some search asked for
+            assert (t_axis[0], u_axis[0], t_axis[-1], u_axis[-1]) in asked
+            for axis in (t_axis, u_axis):
+                assert axis.tobytes() == np.linspace(axis[0], axis[-1], 65).tobytes()
         return chart_terms(ts, us, out)
 
     def against_meshgrid(terms, cos2, sin2, out):
@@ -233,6 +246,7 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
             assert f.tobytes() == reference.tobytes(), windows[-1]
         return ff
 
+    monkeypatch.setattr(optimizer, "_search", recording_search)
     monkeypatch.setattr(optimizer, "_chart_terms", recording_axes)
     monkeypatch.setattr(optimizer, "_objective", against_meshgrid)
     seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 20)
@@ -419,3 +433,5 @@ def test_array_lagrange_residual_matches_scalar_bits(samples, multipliers):
 def test_array_closed_forms_validate_angles(bad):
     with pytest.raises(ValueError, match="angles"):
         optimal_fidelity(bad)
+    with pytest.raises(ValueError, match="angles"):
+        numeric_optimize(bad)  # the oracle's array form takes the same gate
