@@ -41,14 +41,13 @@ _REAL_KINDS = "iuf"  # NumPy dtype kinds of real numbers: int, unsigned int, flo
 
 def _real(value, name: str) -> float:
     """``value`` as a float if it is a real number, else ValueError naming ``name``."""
-    if type(value) is not float:  # a Python float needs no dtype check
-        array = np.asarray(value)
-        if array.ndim or array.dtype.kind not in _REAL_KINDS:
-            raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
-        value = float(value)
-    if not math.isfinite(value):
+    array = np.asarray(value)
+    if array.ndim or array.dtype.kind not in _REAL_KINDS:
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    number = float(value)
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite")
-    return value
+    return number
 
 
 def _integer(value, name: str) -> int:

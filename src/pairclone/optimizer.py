@@ -45,7 +45,6 @@ _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
 _MAX_ROUNDS = 60
 _BATCH = 8  # searches refined together
-_NODES = np.arange(_REFINE_INTERVALS + 1.0)  # node indices of a later round's axis
 
 
 class ConvergenceError(RuntimeError):
@@ -59,16 +58,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NumericSearchReport:
-    """Outcome of the derivative-free constrained maximisation, at one
-    angle or, as (N,) arrays, at each of N angles.
+    """Outcome of the derivative-free constrained maximisation at one angle
+    or, as (N,) arrays (``best_coeffs`` as three: a, b, c), at N angles.
 
     The first of ``rounds`` grids has (grid_density + 1)^2 nodes and each
-    later one 65^2, so a search makes (grid_density + 1)^2 +
-    (rounds - 1) 65^2 evaluations; ``evaluations`` is their total over
-    the call, a Python int.  ``achieved_tolerance`` is the largest
-    improvement of the incumbent fidelity over the final three rounds (inf
-    while fewer than three ran).  At N angles ``best_coeffs`` is three
-    (N,) arrays a, b, c.
+    later one 65^2; ``evaluations`` is the Python int total of the call.
+    ``achieved_tolerance`` is the largest improvement of the incumbent
+    fidelity over the final three rounds (inf while fewer than three ran).
     """
 
     best_coeffs: ClonerCoefficients | tuple
@@ -148,16 +144,14 @@ def _chart_terms(ts, us, out=(None, None, None)):
     aa = np.multiply(sin_t, np.cos(us)[..., None, :], out=out[0])
     cc = np.multiply(sin_t, np.sin(us)[..., None, :], out=out[1])
     half_diff = np.multiply(aa, aa, out=out[2])
-    mixed = np.add(aa, cc, out=aa)
+    mixed = np.multiply(np.add(aa, cc, out=aa), bb, out=aa)
     half_diff -= np.multiply(cc, cc, out=cc)
-    half_diff *= 0.5
-    mixed *= bb
-    return half_diff, mixed
+    return np.multiply(half_diff, 0.5, out=half_diff), mixed
 
 
-def _objective(terms, cos2, sin2, out=(None, None)) -> np.ndarray:
-    """Objective at every node of a grid, from its :func:`_chart_terms`
-    (in ``out[0]`` if given, ``out[1]`` being scratch).
+def _objective(terms, cos2, sin2, out) -> np.ndarray:
+    """Objective at every node of a grid, from its :func:`_chart_terms`,
+    in ``out[0]`` (``out[1]`` is scratch).
 
     With those terms this keeps the operation order of
       f = 0.5 + 0.5 (a^2 - c^2) cos2 + b (a + c) sin2
@@ -165,10 +159,8 @@ def _objective(terms, cos2, sin2, out=(None, None)) -> np.ndarray:
     bit-identical to evaluating the formula on a full meshgrid.
     """
     half_diff, mixed = terms
-    ff = np.multiply(half_diff, cos2, out=out[0])
-    ff += 0.5
-    ff += np.multiply(mixed, sin2, out=out[1])
-    return ff
+    ff = np.add(np.multiply(half_diff, cos2, out=out[0]), 0.5, out=out[0])
+    return np.add(ff, np.multiply(mixed, sin2, out=out[1]), out=ff)
 
 
 @functools.lru_cache(maxsize=1)
@@ -231,57 +223,45 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     terms are built by the first search at a grid density and reused by
     every later one at that density, until a search at another density
     replaces them (two (grid_density + 1)^2 float64 arrays, 1.06 MB at
-    256 and 67 MB at 2048).  Each search runs its first round alone and
-    its later ones in batches of up to 8 searches, as (m, 65, 65) arrays,
-    in work arrays allocated once per call (two more of the first round's
-    size, and 0.8 MB).  Each element of an array call has the bits of the
-    call at that one angle.
+    256 and 67 MB at 2048).  Groups of 8 searches run their first rounds
+    one by one, then their later ones together as (m, 65, 65) arrays, in
+    work arrays allocated once per call (two more of the first round's
+    size, and 0.8 MB).  Every search has the bits of a call at its angle.
     """
-    sin2, cos2, _ = angle_terms(phi)
+    single = np.ndim(phi) == 0
+    sin2, cos2, _ = np.atleast_1d(*angle_terms(phi))
     grid_density = check_grid_density(grid_density)
-    single = np.ndim(sin2) == 0
-    sin2, cos2 = np.atleast_1d(sin2, cos2)
     ts, terms = _first_round(grid_density)
     side = _REFINE_INTERVALS + 1
     first, work = np.empty((2, *terms[0].shape)), np.empty((3, _BATCH, side, side))
-    pending = ((i, _search(c, s, ts, terms, first)) for i, (c, s) in enumerate(zip(cos2, sin2)))
-    results, active = [None] * len(sin2), []  # active: (index, search, window of its next round)
+    reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c
+    for start in range(0, len(sin2), _BATCH):  # a group of searches, refined in lockstep
+        batch = [(i, _search(cos2[i], sin2[i], ts, terms, first, reports[i]), None)
+                 for i in range(start, min(start + _BATCH, len(sin2)))]
+        while live := [(i, search, window) for i, search, sent in batch if (window := search.send(sent))]:
+            indices, searches, windows = zip(*live)
+            lo, hi = np.array(windows).T.reshape(2, 2, -1)
+            # the t and u axes by np.linspace's operations, without its overhead
+            axes = np.arange(side) * ((hi - lo) / _REFINE_INTERVALS)[..., None] + lo[..., None]
+            axes[..., -1] = hi
+            half_diff, mixed = _chart_terms(*axes, out=work[:, :len(live)])
+            ff = _objective((half_diff, mixed), cos2[indices, None, None], sin2[indices, None, None],
+                            (half_diff, work[1, :len(live)]))
+            batch = list(zip(indices, searches, zip(*axes, ff)))  # each sent its (ts, us, ff)
 
-    def advance(index, search, sent):
-        try:
-            active.append((index, search, search.send(sent)))
-        except StopIteration as stop:
-            results[index] = stop.value
-
-    while True:
-        while len(active) < _BATCH and (item := next(pending, None)):
-            advance(*item, None)
-        if not active:
-            break
-        batch, active = active, []
-        m, indices = len(batch), [index for index, _, _ in batch]
-        lo, hi = np.array([window for _, _, window in batch]).T.reshape(2, 2, m)
-        # the t and u axes by np.linspace's operations, without its overhead
-        axes = _NODES * ((hi - lo) / _REFINE_INTERVALS)[..., None] + lo[..., None]
-        axes[..., -1] = hi
-        half_diff, mixed = _chart_terms(*axes, out=work[:, :m])
-        ff = _objective((half_diff, mixed), cos2[indices, None, None], sin2[indices, None, None],
-                        out=(half_diff, work[1, :m]))
-        for k, (index, search, _) in enumerate(batch):
-            advance(index, search, (axes[0, k], axes[1, k], ff[k]))
-
-    evaluations = len(results) * (grid_density + 1) ** 2 + sum(r[2] - 1 for r in results) * side**2
+    evaluations = len(sin2) * (grid_density + 1) ** 2 + int((reports[:, 2] - 1).sum()) * side**2
     if single:
-        best_f, achieved, rounds, a, b, c = results[0]
-        return NumericSearchReport(ClonerCoefficients(a, b, c), best_f, evaluations, achieved, rounds)
-    best_f, achieved, rounds, a, b, c = np.array(results, dtype=float).reshape(-1, 6).T
+        best_f, achieved, rounds, a, b, c = reports[0].tolist()
+        return NumericSearchReport(ClonerCoefficients(a, b, c), best_f, evaluations, achieved, int(rounds))
+    best_f, achieved, rounds, a, b, c = reports.T
     return NumericSearchReport((a, b, c), best_f, evaluations, achieved, rounds.astype(int))
 
 
-def _search(cos2, sin2, ts, terms, first):
+def _search(cos2, sin2, ts, terms, first, report):
     """One search of :func:`numeric_optimize`: it evaluates the first round
     into ``first``, then yields the window (t_lo, u_lo, t_hi, u_hi) of each
-    later round and is sent its (ts, us, ff).  Returns the report's fields."""
+    later round and is sent its (ts, us, ff); at the end it writes the
+    report's fields into ``report`` and yields None."""
     half_pi = math.pi / 2
     us = ts
     ff = _objective(terms, cos2, sin2, first)
@@ -329,4 +309,5 @@ def _search(cos2, sin2, ts, terms, first):
         )
 
     a, b = math.sin(best_t) * math.cos(best_u), math.cos(best_t) * _SQRT_HALF
-    return best_f, achieved, len(improvements), a, b, math.sin(best_t) * math.sin(best_u)
+    report[:] = best_f, achieved, len(improvements), a, b, math.sin(best_t) * math.sin(best_u)
+    yield None

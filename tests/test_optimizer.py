@@ -211,13 +211,10 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
 
     def recording_search(*args):
         steps, sent = search(*args), None
-        while True:
-            try:
-                window = steps.send(sent)
-            except StopIteration as stop:
-                return stop.value
+        while window := steps.send(sent):
             asked.add(window)
             sent = yield window
+        yield None
 
     def recording_axes(ts, us, out):
         nonlocal axes
