@@ -44,7 +44,7 @@ DEFAULT_GRID_DENSITY = 256
 _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
 _MAX_ROUNDS = 60
-_BATCH = 8  # searches refined together
+_BATCH = 8  # searches per group; a group refines its searches in lockstep
 
 
 class ConvergenceError(RuntimeError):
