@@ -223,31 +223,64 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     terms are built by the first search at a grid density and reused by
     every later one at that density, until a search at another density
     replaces them (two (grid_density + 1)^2 float64 arrays, 1.06 MB at
-    256 and 67 MB at 2048).  Groups of 8 searches run their first rounds
-    one by one, then their later ones together as (m, 65, 65) arrays, in
-    work arrays allocated once per call (two more of the first round's
-    size, and 0.8 MB).  Every search has the bits of a call at its angle.
+    256 and 67 MB at 2048).  Groups of up to 8 searches run their first
+    rounds one by one, then their later rounds together, on plain arrays
+    over the searches still running: the incumbent (f, t, u), the t and u
+    spacings and the last three rounds' gains.  A round evaluates their
+    windows as (m, 65, 65) arrays, in work arrays allocated once per call
+    (two more of the first round's size, and 0.8 MB), then drops the
+    searches that finished.  Every search has the bits of a call at its angle.
     """
     single = np.ndim(phi) == 0
     sin2, cos2, _ = np.atleast_1d(*angle_terms(phi))
     grid_density = check_grid_density(grid_density)
     ts, terms = _first_round(grid_density)
-    side = _REFINE_INTERVALS + 1
+    half_pi, side = math.pi / 2, _REFINE_INTERVALS + 1
     first, work = np.empty((2, *terms[0].shape)), np.empty((3, _BATCH, side, side))
     reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c
     for start in range(0, len(sin2), _BATCH):  # a group of searches, refined in lockstep
-        batch = [(i, _search(cos2[i], sin2[i], ts, terms, first, reports[i]), None)
-                 for i in range(start, min(start + _BATCH, len(sin2)))]
-        while live := [(i, search, window) for i, search, sent in batch if (window := search.send(sent))]:
-            indices, searches, windows = zip(*live)
-            lo, hi = np.array(windows).T.reshape(2, 2, -1)
+        live = np.arange(start, min(start + _BATCH, len(sin2)))
+        best = np.empty((3, len(live)))  # the incumbent (f, t, u) of each search
+        for k, i in enumerate(live):
+            ff = _objective(terms, cos2[i], sin2[i], first)
+            row, col = divmod(int(np.argmax(ff)), grid_density + 1)  # first max = smallest (t, u)
+            best[:, k] = ff[row, col], ts[row], ts[col]
+        spacing = np.full((2, len(live)), half_pi / grid_density)  # of the last grid's t and u axes
+        gains = np.full((3, len(live)), math.inf)  # of the last three rounds, at [round % 3]
+        for rounds in range(2, _MAX_ROUNDS + 1):
+            # the window: +-4 spacings of the last grid around the incumbent
+            reach = 4 * spacing
+            lo, hi = np.maximum(best[1:] - reach, 0.0), np.minimum(best[1:] + reach, half_pi)
+            spacing = (hi - lo) / _REFINE_INTERVALS
             # the t and u axes by np.linspace's operations, without its overhead
-            axes = np.arange(side) * ((hi - lo) / _REFINE_INTERVALS)[..., None] + lo[..., None]
+            axes = np.arange(side) * spacing[..., None] + lo[..., None]
             axes[..., -1] = hi
-            half_diff, mixed = _chart_terms(*axes, out=work[:, :len(live)])
-            ff = _objective((half_diff, mixed), cos2[indices, None, None], sin2[indices, None, None],
-                            (half_diff, work[1, :len(live)]))
-            batch = list(zip(indices, searches, zip(*axes, ff)))  # each sent its (ts, us, ff)
+            k = np.arange(len(live))
+            half_diff, mixed = _chart_terms(*axes, out=work[:, :len(k)])
+            ff = _objective((half_diff, mixed), cos2[live, None, None], sin2[live, None, None],
+                            (half_diff, work[1, :len(k)])).reshape(len(k), -1)
+            flat = np.argmax(ff, axis=1)  # first max = smallest (t, u)
+            round_best = ff[k, flat]
+            gains[rounds % 3] = np.maximum(round_best - best[0], 0.0)
+            row, col = np.divmod(flat, side)
+            best = np.where(round_best > best[0], (round_best, axes[0, k, row], axes[1, k, col]), best)
+            # Small gains count only once the grid is fine enough: a node can
+            # beat its neighbours and still miss the optimum by spacing^2 / 2
+            # (the Hessian norm is at most 2).  The window is 64 spacings wide.
+            h, achieved = spacing.max(axis=0), gains.max(axis=0)
+            done = (achieved < _REFINE_TOLERANCE) & (h**2 < _REFINE_TOLERANCE) | (h * _REFINE_INTERVALS < 1e-11)
+            if not done.any():
+                continue
+            for i, f, t, u, g in zip(live[done], *best[:, done], achieved[done]):
+                a, b, c = math.sin(t) * math.cos(u), math.cos(t) * _SQRT_HALF, math.sin(t) * math.sin(u)
+                reports[i] = f, g, rounds, a, b, c
+            live, best, spacing, gains = live[~done], best[:, ~done], spacing[:, ~done], gains[:, ~done]
+            if not len(live):
+                break
+        else:  # the lowest-index search still running reports
+            achieved = float(gains[:, 0].max())
+            message = f"no convergence after {_MAX_ROUNDS} rounds; largest improvement of the last three"
+            raise ConvergenceError(f"{message} {achieved:.3e} (requested < {_REFINE_TOLERANCE:.0e})", achieved)
 
     evaluations = len(sin2) * (grid_density + 1) ** 2 + int((reports[:, 2] - 1).sum()) * side**2
     if single:
@@ -255,59 +288,3 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
         return NumericSearchReport(ClonerCoefficients(a, b, c), best_f, evaluations, achieved, int(rounds))
     best_f, achieved, rounds, a, b, c = reports.T
     return NumericSearchReport((a, b, c), best_f, evaluations, achieved, rounds.astype(int))
-
-
-def _search(cos2, sin2, ts, terms, first, report):
-    """One search of :func:`numeric_optimize`: it evaluates the first round
-    into ``first``, then yields the window (t_lo, u_lo, t_hi, u_hi) of each
-    later round and is sent its (ts, us, ff); at the end it writes the
-    report's fields into ``report`` and yields None."""
-    half_pi = math.pi / 2
-    us = ts
-    ff = _objective(terms, cos2, sin2, first)
-    intervals = len(ts) - 1
-
-    t_lo, t_hi = 0.0, half_pi
-    u_lo, u_hi = 0.0, half_pi
-    best_f = -math.inf
-    best_t = best_u = 0.0
-    improvements = []  # per round; the first is inf
-
-    for _ in range(_MAX_ROUNDS):
-        flat_index = int(np.argmax(ff))  # first max = smallest (t, u)
-        row, col = divmod(flat_index, intervals + 1)
-        round_best = float(ff[row, col])
-        improvements.append(max(round_best - best_f, 0.0))
-        if round_best > best_f:
-            best_f = round_best
-            best_t = float(ts[row])
-            best_u = float(us[col])
-
-        # Small gains count only once this grid is fine enough: a node
-        # can beat all its neighbours and still miss the optimum by
-        # spacing^2 / 2 (the objective's Hessian norm is at most 2).
-        achieved = max(improvements[-3:])
-        h_t = (t_hi - t_lo) / intervals
-        h_u = (u_hi - u_lo) / intervals
-        converged = achieved < _REFINE_TOLERANCE and max(h_t, h_u) ** 2 < _REFINE_TOLERANCE
-        if converged or max(t_hi - t_lo, u_hi - u_lo) < 1e-11:
-            break
-
-        # Shrink to a window of +-4 spacings of this round's grid around
-        # the incumbent; the next round has _REFINE_INTERVALS intervals.
-        t_lo = max(0.0, best_t - 4 * h_t)
-        t_hi = min(half_pi, best_t + 4 * h_t)
-        u_lo = max(0.0, best_u - 4 * h_u)
-        u_hi = min(half_pi, best_u + 4 * h_u)
-        intervals = _REFINE_INTERVALS
-        ts, us, ff = yield t_lo, u_lo, t_hi, u_hi
-    else:
-        raise ConvergenceError(
-            f"no convergence after {_MAX_ROUNDS} rounds; largest improvement "
-            f"of the last three {achieved:.3e} (requested < {_REFINE_TOLERANCE:.0e})",
-            achieved_tolerance=achieved,
-        )
-
-    a, b = math.sin(best_t) * math.cos(best_u), math.cos(best_t) * _SQRT_HALF
-    report[:] = best_f, achieved, len(improvements), a, b, math.sin(best_t) * math.sin(best_u)
-    yield None

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -188,6 +189,23 @@ class TestNumericOracle:
             numeric_optimize(0.3, grid_density=64)
         assert excinfo.value.achieved_tolerance == math.inf
 
+    @pytest.mark.parametrize("cap, raiser", [(1, 0), (4, 0), (5, 9)])
+    def test_array_call_raises_for_its_lowest_running_search(self, monkeypatch, cap, raiser):
+        # phi = 0 ends after 5 rounds at grid 64, phi = 0.3 after more; at
+        # cap 5 the first group ends and the second raises for phi = 0.3
+        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", cap)
+        phis = np.array([0.0] * 9 + [0.3, 0.2])
+        with pytest.raises(ConvergenceError) as array_call:
+            numeric_optimize(phis, grid_density=64)
+        for phi in phis[:raiser].tolist():
+            numeric_optimize(phi, grid_density=64)
+        with pytest.raises(ConvergenceError) as float_call:
+            numeric_optimize(float(phis[raiser]), grid_density=64)
+        assert str(array_call.value) == str(float_call.value)
+        achieved = array_call.value.achieved_tolerance
+        assert achieved.hex() == float_call.value.achieved_tolerance.hex()
+        assert (achieved == math.inf) == (cap == 1)
+
     def test_achieved_tolerance_is_last_three_rounds(self):
         # an exact grid node is the optimum only at the endpoints; inside,
         # the final rounds still gain below the 1e-12 stopping tolerance
@@ -201,28 +219,20 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     """Every round's nodes, on every window real searches visit, equal the
     objective evaluated on a full meshgrid, byte for byte: each first
     round, from the cached terms, and each search's window in every
-    batched later round."""
-    chart_terms, objective, search = optimizer._chart_terms, optimizer._objective, optimizer._search
+    batched later round.  Each search's windows are the ones its own grids
+    ask for: +-4 spacings of its last grid around its incumbent so far,
+    clipped to [0, pi/2]."""
+    chart_terms, objective = optimizer._chart_terms, optimizer._objective
     full = np.linspace(0.0, math.pi / 2, grid_density + 1)
     cached = optimizer._first_round(grid_density)[1]
-    windows = []
-    asked = set()  # every window (t_lo, u_lo, t_hi, u_hi) a search yielded
+    visited = {}  # per (cos2, sin2) of a search: its grids (ts, us, ff) in order
     axes = None  # of the batch being evaluated, each (m, 65)
-
-    def recording_search(*args):
-        steps, sent = search(*args), None
-        while window := steps.send(sent):
-            asked.add(window)
-            sent = yield window
-        yield None
 
     def recording_axes(ts, us, out):
         nonlocal axes
         axes = ts, us
-        for t_axis, u_axis in zip(ts, us):  # np.linspace over a window some search asked for
-            assert (t_axis[0], u_axis[0], t_axis[-1], u_axis[-1]) in asked
-            for axis in (t_axis, u_axis):
-                assert axis.tobytes() == np.linspace(axis[0], axis[-1], 65).tobytes()
+        for axis in (*ts, *us):  # np.linspace over the window
+            assert axis.tobytes() == np.linspace(axis[0], axis[-1], 65).tobytes()
         return chart_terms(ts, us, out)
 
     def against_meshgrid(terms, cos2, sin2, out):
@@ -239,11 +249,10 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
             cc = sin_tt * np.sin(uu)
             bb = np.cos(tt) * math.sqrt(0.5)
             reference = 0.5 + 0.5 * (aa * aa - cc * cc) * c2 + bb * (aa + cc) * s2
-            windows.append((ts[0], ts[-1], us[0], us[-1]))
-            assert f.tobytes() == reference.tobytes(), windows[-1]
+            assert f.tobytes() == reference.tobytes(), (ts[0], ts[-1], us[0], us[-1])
+            visited.setdefault((float(c2), float(s2)), []).append((ts.copy(), us.copy(), f.copy()))
         return ff
 
-    monkeypatch.setattr(optimizer, "_search", recording_search)
     monkeypatch.setattr(optimizer, "_chart_terms", recording_axes)
     monkeypatch.setattr(optimizer, "_objective", against_meshgrid)
     seeded = np.random.default_rng(2000 + grid_density).uniform(0, math.pi / 2, 20)
@@ -251,7 +260,28 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     report = numeric_optimize(phis, grid_density=grid_density)
     rounds = int(report.rounds.sum())
     assert report.evaluations == len(phis) * (grid_density + 1) ** 2 + (rounds - len(phis)) * 65**2
-    assert len(windows) == rounds
+    assert sum(len(grids) for grids in visited.values()) == rounds
+
+    sin2, cos2, _ = angle_terms(phis)
+    for i, key in enumerate(zip(cos2.tolist(), sin2.tolist())):
+        grids = visited[key]
+        assert len(grids) == report.rounds[i]
+        best_f, best_t, best_u = -math.inf, 0.0, 0.0
+        for r, (ts, us, f) in enumerate(grids):
+            if r:  # the window this search's last grid and incumbent ask for
+                h_t = (last_ts[-1] - last_ts[0]) / (len(last_ts) - 1)
+                h_u = (last_us[-1] - last_us[0]) / (len(last_us) - 1)
+                asked = (max(0.0, best_t - 4 * h_t), max(0.0, best_u - 4 * h_u),
+                         min(math.pi / 2, best_t + 4 * h_t), min(math.pi / 2, best_u + 4 * h_u))
+                assert (ts[0], us[0], ts[-1], us[-1]) == asked, (phis[i], r)
+            row, col = divmod(int(np.argmax(f)), f.shape[1])
+            if f[row, col] > best_f:
+                best_f, best_t, best_u = float(f[row, col]), float(ts[row]), float(us[col])
+            last_ts, last_us = ts, us
+        assert report.best_fidelity[i] == best_f
+        sin_t = math.sin(best_t)
+        expected = [sin_t * math.cos(best_u), math.cos(best_t) * math.sqrt(0.5), sin_t * math.sin(best_u)]
+        assert [column[i] for column in report.best_coeffs] == expected
 
 
 # Within a few milliradians of an endpoint the first round's best node is
@@ -260,15 +290,30 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
 NEAR_ENDPOINTS = [x for gap in np.geomspace(5e-4, 1e-2, 6) for x in (gap, math.pi / 2 - gap)]
 
 
+# SHA-256 of the float calls' reports on the 437 angles below, one line per
+# angle of its fields' float.hex, rounds and evaluations.  They were taken
+# from the oracle of commit d104431, which drove each search as a generator,
+# so they hold the array round loop to an independent result.
+FLOAT_FORM_DIGESTS = {
+    64: "ad69be49e481e8f7016f53d2a1fa11670af92fd983daf7e26db145f8c3677c4f",
+    128: "4d8dbbaaaee55c7586a4db470ea53b7cffb2024aa31d773c7ded0ba8d7eac4fd",
+    256: "cff9ded820671ca385e7ff0fa1190eccc4c850ff2a778a93f2dfbb6e04cda476",
+}
+
+
 @pytest.mark.parametrize("grid_density", [64, 128, 256])
 def test_array_form_has_the_bits_of_the_float_form(grid_density):
     """Each search of an array call equals the call at its one angle, in
     every field, whatever its place in the batches of 8: on verify's 25
     angles (the endpoints among them), the near-endpoint stall angles and
-    400 seeded ones, in arrays of 1, 7, 8, 9 and 25 angles."""
+    400 seeded ones, in arrays of 1, 7, 8, 9 and 25 angles.  The float
+    calls keep the bits of the earlier oracle, by digest."""
     phis = np.array([*np.linspace(0, math.pi / 2, 25), *NEAR_ENDPOINTS,
                      *np.random.default_rng(3000 + grid_density).uniform(0, math.pi / 2, 400)])
     singles = [numeric_optimize(phi, grid_density=grid_density) for phi in phis.tolist()]
+    lines = (" ".join([r.best_fidelity.hex(), *(x.hex() for x in r.best_coeffs), r.achieved_tolerance.hex(),
+                       str(r.rounds), str(r.evaluations)]) for r in singles)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FLOAT_FORM_DIGESTS[grid_density]
     start, lengths = 0, itertools.cycle([1, 7, 8, 9, 25])
     while start < len(phis):
         stop = min(start + next(lengths), len(phis))
