@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .checks import run_checks
-from .cloner import ClonerCoefficients, UnitarityError
-from .ensemble import PHI_MAX, PHI_MIN
+from .cloner import UnitarityError
+from .ensemble import check_angle
 from .optimizer import DEFAULT_GRID_DENSITY, check_grid_density, numeric_optimize, optimum
 from .report import build_clone_report, format_clone_report
 
@@ -56,7 +56,7 @@ def parse_angle(text: str) -> float:
 
 def _angle_argument(text: str) -> float:
     try:
-        return parse_angle(text)
+        return check_angle(parse_angle(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -146,8 +146,8 @@ def _write_sweep(args, handle) -> None:
 
 
 def _cmd_sweep(args, parser) -> int:
-    if not (PHI_MIN <= args.phi_min < args.phi_max <= PHI_MAX):
-        parser.error("required: 0 <= phi-min < phi-max <= pi/2")
+    if not args.phi_min < args.phi_max:
+        parser.error("required: phi-min < phi-max")
     _check_steps(args, parser)
     if args.with_oracle:
         try:
@@ -172,20 +172,14 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_clone(args, parser) -> int:
-    if not PHI_MIN <= args.phi <= PHI_MAX:
-        parser.error("phi must lie in [0, pi/2]")
-    coeffs = None
-    if args.coeffs is not None:
-        a, b, c = args.coeffs
-        try:
-            coeffs = ClonerCoefficients(a=a, b=b, c=c)
-        except UnitarityError as exc:
-            print(f"error: coefficient override rejected: {exc}", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"error: invalid coefficients: {exc}", file=sys.stderr)
-            return 1
-    report = build_clone_report(args.phi, coeffs)
+    try:
+        report = build_clone_report(args.phi, args.coeffs)
+    except UnitarityError as exc:
+        print(f"error: coefficient override rejected: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: invalid coefficients: {exc}", file=sys.stderr)
+        return 1
     print(format_clone_report(report))
     return 0
 

@@ -1,24 +1,47 @@
 """Acceptance suite: every release criterion, one test each.
 
-Criteria 2-9 read the named results of one ``run_checks()`` call, the
-sweep behind ``pairclone verify``, and hold each deviation at its pinned
-bound; criterion 1 and the pi/4 shrinking factors are direct single-point
+Criteria 2-9 read the named results of one default ``pairclone verify``
+run, captured as it passes through ``cli.run_checks``, and hold each
+deviation at its pinned bound; criterion 10 reads that run's exit code and
+output.  Criterion 1 and the pi/4 shrinking factors are direct single-point
 assertions.  Each test prints a one-line verdict (visible with
 ``pytest -s``); the asserts carry the actual bounds.
 """
 
+import io
 import math
+from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
-from pairclone import build_clone_report, optimal_shrinking, run_checks
+from pairclone import build_clone_report, cli, optimal_shrinking
 from pairclone.cli import main as cli_main
 
 
 @pytest.fixture(scope="module")
-def checks():
+def verify_run():
+    """One ``cli.main(["verify"])`` call: its exit code, its stdout and
+    every property's result by name."""
+    results = []
+    run_checks = cli.run_checks
+
+    def recording_run_checks(*args, **kwargs):
+        returned = run_checks(*args, **kwargs)
+        results.extend(returned)
+        return returned
+
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(stdout):
+        patch.setattr(cli, "run_checks", recording_run_checks)
+        code = cli_main(["verify"])
+    return SimpleNamespace(code=code, out=stdout.getvalue(), checks={r.name: r for r in results})
+
+
+@pytest.fixture(scope="module")
+def checks(verify_run):
     """Every verify property at the defaults, by name."""
-    return {result.name: result for result in run_checks()}
+    return verify_run.checks
 
 
 def report(line):
@@ -126,7 +149,7 @@ def test_criterion_9_general_formula_consistency(checks):
            f"max gain from sub-maximal overlaps {gain:.2e} <= 0")
 
 
-def test_criterion_10_cli_reproducibility(capsys):
+def test_criterion_10_cli_reproducibility(capsys, verify_run):
     """The sweep command reproduces the three special fidelities and the
     verify command exits 0 with default settings."""
     assert cli_main(["sweep", "--steps", "3"]) == 0
@@ -134,8 +157,7 @@ def test_criterion_10_cli_reproducibility(capsys):
     fidelities = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
     assert fidelities == ["1", "0.853553390593", "1"]
 
-    assert cli_main(["verify"]) == 0
-    verify_out = capsys.readouterr().out
-    assert "[FAIL]" not in verify_out
+    assert verify_run.code == 0
+    assert "[FAIL]" not in verify_run.out
     report("[PASS] criterion 10: sweep fidelity column {1, 0.853553390593, 1} "
            "and verify exit code 0")

@@ -204,6 +204,20 @@ class TestClone:
         assert run_cli(capsys, "clone", "--", "-0.0") == run_cli(capsys, "clone", "0")
 
 
+@pytest.mark.parametrize("text", ["2.0", "-0.1", "nan", "inf", "1e400", "pi/0"])
+@pytest.mark.parametrize(
+    "argv,name",
+    [(["clone"], "phi"), (["sweep", "--phi-min"], "--phi-min"), (["sweep", "--phi-max"], "--phi-max")],
+    ids=["clone", "phi-min", "phi-max"],
+)
+def test_bad_angle_is_usage_error_naming_its_argument(capsys, argv, name, text):
+    code, out, err = run_cli(capsys, *argv, text)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"argument {name}:" in err.splitlines()[-1]
+
+
 class TestVerify:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--steps", "50")

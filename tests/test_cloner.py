@@ -160,6 +160,12 @@ class TestApplyAndReduce:
             copy_state(rho, True)  # not copy 1
         assert np.array_equal(copy_state(rho, np.int64(2)), copy_state(rho, 2))
 
+    def test_non_density_output_rejected(self):
+        with pytest.raises(ValueError):
+            copy_state(np.eye(4, dtype=complex) / 4, 1)
+        with pytest.raises(ValueError, match="trace"):
+            copy_state(np.eye(8, dtype=complex) / 4, 1)  # trace 2
+
 
 class TestFidelity:
     def test_perfect_match(self):

@@ -184,6 +184,14 @@ class TestBlochMaps:
             with pytest.raises(ValueError, match="real"):
                 density_from_bloch(m)
 
+    @pytest.mark.parametrize(
+        "m", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0], [0.0], [0.0]]],
+        ids=["nan", "inf", "shape-2", "shape-3x1"],
+    )
+    def test_non_finite_or_misshapen_input_rejected(self, m):
+        with pytest.raises(ValueError):
+            density_from_bloch(m)
+
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())
         assert np.abs(bloch_from_density(rho) - np.array([0, 0, -1.0])).max() <= SELF_TOL
