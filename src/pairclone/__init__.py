@@ -28,7 +28,6 @@ from .linalg import (
     tensor,
 )
 from .optimizer import (
-    ConvergenceError,
     NumericSearchReport,
     lagrange_residual,
     numeric_optimize,
@@ -46,7 +45,6 @@ __all__ = [
     "CheckResult",
     "CloneReport",
     "ClonerCoefficients",
-    "ConvergenceError",
     "FourStateEnsemble",
     "NumericSearchReport",
     "UnitarityError",

@@ -67,7 +67,7 @@ class ClonerCoefficients:
             value = _real(getattr(self, name), f"coefficient {name}")
             if value < 0.0:
                 raise ValueError(f"coefficient {name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, 0.0 if value == 0 else value)  # -0.0 reports as 0
         defect = self.constraint_defect
         if abs(defect) > ATOL_INPUT:
             raise UnitarityError(

@@ -195,6 +195,11 @@ class TestClone:
         assert code == 1
         assert "nonnegative" in err
 
+    def test_negative_zero_override_reports_as_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "clone", "0.7", "--coeffs", "0,0.7071067811865476,-0")
+        assert code == 0
+        assert "a=0  b=0.707106781187  c=0\n" in out
+
     def test_out_of_range_angle_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["clone", "2.0"])

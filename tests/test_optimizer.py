@@ -12,7 +12,6 @@ from pairclone.cloner import ClonerCoefficients, fidelity_closed_form
 from pairclone.ensemble import angle_terms
 from pairclone.optimizer import (
     MAX_GRID_DENSITY,
-    ConvergenceError,
     NumericSearchReport,
     lagrange_residual,
     numeric_optimize,
@@ -182,29 +181,35 @@ class TestNumericOracle:
         with pytest.raises(ValueError, match="grid_density"):
             numeric_optimize(0.5, grid_density=MAX_GRID_DENSITY + 1)
 
-    def test_no_convergence_reports_achieved_tolerance(self, monkeypatch):
-        # one round leaves only the first, infinite improvement
-        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", 1)
-        with pytest.raises(ConvergenceError) as excinfo:
-            numeric_optimize(0.3, grid_density=64)
-        assert excinfo.value.achieved_tolerance == math.inf
+    @pytest.mark.parametrize("grid_density, rounds", [(64, [11, 14, 14, 14, 14]), (256, [10, 13, 13, 13, 13])])
+    def test_never_improving_search_ends_by_window_collapse(self, monkeypatch, grid_density, rounds):
+        # a NaN later round never replaces the incumbent and its gain is NaN,
+        # so only the collapse rule can end the search: each window is at
+        # most 1/8 as wide as the one before, so within 14 rounds
+        objective = optimizer._objective
 
-    @pytest.mark.parametrize("cap, raiser", [(1, 0), (4, 0), (5, 9)])
-    def test_array_call_raises_for_its_lowest_running_search(self, monkeypatch, cap, raiser):
-        # phi = 0 ends after 5 rounds at grid 64, phi = 0.3 after more; at
-        # cap 5 the first group ends and the second raises for phi = 0.3
-        monkeypatch.setattr(optimizer, "_MAX_ROUNDS", cap)
-        phis = np.array([0.0] * 9 + [0.3, 0.2])
-        with pytest.raises(ConvergenceError) as array_call:
-            numeric_optimize(phis, grid_density=64)
-        for phi in phis[:raiser].tolist():
-            numeric_optimize(phi, grid_density=64)
-        with pytest.raises(ConvergenceError) as float_call:
-            numeric_optimize(float(phis[raiser]), grid_density=64)
-        assert str(array_call.value) == str(float_call.value)
-        achieved = array_call.value.achieved_tolerance
-        assert achieved.hex() == float_call.value.achieved_tolerance.hex()
-        assert (achieved == math.inf) == (cap == 1)
+        def nan_later_rounds(terms, cos2, sin2, out):
+            ff = objective(terms, cos2, sin2, out)
+            if np.ndim(cos2) > 0:
+                ff[...] = math.nan
+            return ff
+
+        monkeypatch.setattr(optimizer, "_objective", nan_later_rounds)
+        report = numeric_optimize(np.array([0.0, 0.3, 0.7, math.pi / 4, math.pi / 2]), grid_density=grid_density)
+        assert report.rounds.tolist() == rounds
+        assert numeric_optimize(0.3, grid_density=grid_density).rounds == rounds[1]
+
+    def test_flat_objective_ends_by_tolerance(self, monkeypatch):
+        # no round gains, so the search stops once the grid is fine enough
+        def flat(terms, cos2, sin2, out):
+            out[0][...] = 0.75
+            return out[0]
+
+        monkeypatch.setattr(optimizer, "_objective", flat)
+        report = numeric_optimize(np.array([0.0, 0.3, 0.7, math.pi / 4, math.pi / 2]), grid_density=64)
+        assert report.rounds.tolist() == [5] * 5
+        assert report.achieved_tolerance.tolist() == [0.0] * 5
+        assert report.best_fidelity.tolist() == [0.75] * 5
 
     def test_achieved_tolerance_is_last_three_rounds(self):
         # an exact grid node is the optimum only at the endpoints; inside,
