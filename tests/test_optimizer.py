@@ -407,6 +407,21 @@ def test_angle_terms_array_matches_float_bits():
     _same_bits(angle_terms(ANGLES), list(map(angle_terms, ANGLES.tolist())))
 
 
+# SHA-256 of angle_terms on verify's fine grid, its three arrays as <f8
+# bytes in order.  Like the sweep workload's SWEEP_SHA256 it pins this
+# host's libm: sin, cos and pow are not correctly rounded, so another C
+# library may give other last bits.  A change in how the terms are formed
+# shows here in Tier-1, not only in the sweep CSV.
+FINE_GRID_TERMS_SHA256 = "2c2677e3598ce949973e5f48a7f058e7c5d1991a6720035efd5f8c9d54d8c1a9"
+
+
+def test_angle_terms_bits_on_verify_fine_grid():
+    digest = hashlib.sha256()
+    for terms in angle_terms(np.linspace(0.0, math.pi / 2, 15709)):
+        digest.update(terms.astype("<f8").tobytes())
+    assert digest.hexdigest() == FINE_GRID_TERMS_SHA256
+
+
 @pytest.fixture(scope="module")
 def samples():
     """(coefficients, angles, coefficient columns): the optimum at every
