@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -56,12 +55,14 @@ def angle_terms(phis):
     general fidelity for any overlap sums) starts from these and goes on
     with + - * / alone, so one body serves a float and an array with the
     same bits.
-    Two rules keep it so.  Each sine, cosine and power is taken element by
-    element with ``math.sin``, ``math.cos`` and Python's float ``**``
-    (``pow``): numpy's ``x ** 2`` and ``x ** 4`` differ from Python's in
-    the last bit at some angles, and ``np.sin``/``np.cos`` depend on
-    numpy's SIMD dispatch.  Only the correctly rounded sum and square root
-    are vectorised.  This is the one place that tells a float from an
+    Two rules keep it so.  Each sine and cosine is taken element by element
+    with ``math.sin`` and ``math.cos``, as ``np.sin``/``np.cos`` depend on
+    numpy's SIMD dispatch.  Each power comes from ``np.float_power``,
+    whose one plain loop calls the C library's ``pow`` per element, as
+    Python's float ``**`` does; ``np.power`` squares by a product and
+    takes other powers in SIMD code, and differs in the last bit at some
+    angles.  Only the correctly rounded sum and square root are otherwise
+    vectorised.  This is the one place that tells a float from an
     array, and it validates both: one angle with :func:`check_angle`, an
     array with a real number dtype and one vectorised range check (NaN
     fails it).
@@ -74,12 +75,10 @@ def angle_terms(phis):
     if phis.ndim != 1 or not real or not ((phis >= PHI_MIN) & (phis <= PHI_MAX)).all():
         raise ValueError("angles must be an (N,) array of values in [0, pi/2]")
     values = phis.tolist()
-    sins, coss = list(map(math.sin, values)), list(map(math.cos, values))
-
-    def powers(bases, exponent):
-        return np.fromiter(map(pow, bases, repeat(exponent)), float, len(values))
-
-    return powers(sins, 2), powers(coss, 2), np.sqrt(powers(sins, 4) + powers(coss, 4))
+    sins = np.fromiter(map(math.sin, values), float, len(values))
+    coss = np.fromiter(map(math.cos, values), float, len(values))
+    return (np.float_power(sins, 2), np.float_power(coss, 2),
+            np.sqrt(np.float_power(sins, 4) + np.float_power(coss, 4)))
 
 
 @dataclass(frozen=True)
