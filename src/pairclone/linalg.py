@@ -78,7 +78,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
             raise ValueError(
                 f"{name} has axis length {length}; admitted lengths are {ADMITTED_DIMS}"
             )
-    if not np.isfinite(arr).all():
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
 
@@ -101,7 +101,7 @@ def tensor(a, b) -> np.ndarray:
     i.e. the first factor is the most significant digit.  Raises if any
     product axis length leaves the admitted set {1, 2, 4, 8}.  The result
     is bit for bit ``numpy.kron(a, b)``: the same entrywise products,
-    arranged by one outer product and a reshape, which is several times
+    arranged by one broadcast product and a reshape, which is several times
     faster than ``numpy.kron`` at these sizes.
     """
     a = as_matrix(a, "tensor operand a")
@@ -113,9 +113,8 @@ def tensor(a, b) -> np.ndarray:
             raise ValueError(
                 f"tensor product axis length {la * lb} not in {ADMITTED_DIMS}"
             )
-    product = np.multiply.outer(a, b)  # axes (a rows, [a cols,] b rows[, b cols])
-    if a.ndim == 2:
-        product = product.transpose(0, 2, 1, 3)
+    # axes (a rows, b rows[, a cols, b cols])
+    product = a[:, None] * b if a.ndim == 1 else a[:, None, :, None] * b[:, None]
     return product.reshape([la * lb for la, lb in zip(a.shape, b.shape)])
 
 
