@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 
-from pairclone import checks, cloner, optimizer
+import pairclone
+from pairclone import checks, cloner, ensemble, linalg, optimizer
 from pairclone.checks import run_checks
 
 EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
@@ -21,11 +23,74 @@ def _dip_beside_quarter_pi(out, phis):
     return (out[0] - EPS * (np.abs(phis - (math.pi / 4 - 1e-3)) < 2e-4), *out[1:])
 
 
+def _rotate_state_3_towards_1(out, *_):
+    # a unit-norm turn of psi3 by 1e-6 rad towards psi1, its pair partner
+    states = out[0].copy()
+    states[:, 2] = math.cos(EPS) * states[:, 2] + math.sin(EPS) * states[:, 0]
+    return states, out[1]
+
+
+def _shift_bloch_y(out, *_):
+    bloch = out[1].copy()
+    bloch[..., 1] += EPS
+    return out[0], bloch
+
+
 # (module, function, perturbation of its result given its arguments, the
 # properties that must then fail); at least one from each of acceptance
-# criteria 2-9.  tests/test_cli.py covers a plain 1e-6 shift and a NaN in
-# the fidelity of optimizer.optimum.
+# criteria 2-9, and one for each property outside them.  Together with
+# OWN_TESTS they name every property of run_checks.  tests/test_cli.py
+# covers a plain 1e-6 shift and a NaN in the fidelity of optimizer.optimum.
 MUTATIONS = [
+    pytest.param(
+        ensemble, "family", lambda out, *_: (out[0] * (1 + EPS), out[1]),
+        ["ensemble unit norms", "ensemble relabel symmetry"],
+        id="ensemble-family-states",
+    ),
+    pytest.param(
+        ensemble, "family", _rotate_state_3_towards_1,
+        ["ensemble pair orthogonality"],
+        id="ensemble-family-rotated-pair",
+    ),
+    pytest.param(
+        ensemble, "family", _shift_bloch_y,
+        ["ensemble y components vanish"],
+        id="ensemble-family-bloch-y",
+    ),
+    pytest.param(
+        ensemble, "family", lambda out, *_: (out[0], out[1] * (1 + EPS)),
+        ["ensemble Bloch pattern"],
+        id="ensemble-family-bloch",
+    ),
+    pytest.param(
+        linalg, "partial_trace", lambda out, *_: out * (1 + EPS),
+        ["partial trace of product states"],
+        id="linalg-partial_trace",
+    ),
+    pytest.param(
+        # the joint states of the partial-trace block and the isometry's
+        # term kets are both tensor products
+        linalg, "tensor", lambda out, *_: out * (1 + EPS),
+        ["partial trace of product states", "isometry columns orthonormal"],
+        id="linalg-tensor",
+    ),
+    pytest.param(
+        linalg, "bloch_from_density", lambda out, *_: out * (1 + EPS),
+        ["Bloch round trip"],
+        id="linalg-bloch_from_density",
+    ),
+    pytest.param(
+        optimizer, "optimum", lambda out, *_: (*out[:3], out[3] * (1 + EPS), *out[4:]),
+        ["optimal coefficient constraint"],
+        id="C3-optimum-a",
+    ),
+    pytest.param(
+        # 1e-6 would stay below the coefficient bound of 1e-4
+        optimizer, "numeric_optimize",
+        lambda out, *_: dataclasses.replace(out, best_coeffs=(out.best_coeffs[0] + 1e-3, *out.best_coeffs[1:])),
+        ["oracle coefficient agreement"],
+        id="C4-numeric_optimize-coeffs",
+    ),
     pytest.param(
         cloner, "clone_batch",
         lambda out, *_: out._replace(
@@ -150,12 +215,26 @@ def test_worst_angle_found_across_blocks(monkeypatch, later):
     assert chain.worst_at == f"phi={(first if later == 1e20 else second):.6g}"
 
 
+# Properties that a test of their own makes fail, by that test's name.
+OWN_TESTS = {"optimal fidelity consistency chain": "test_worst_angle_found_across_blocks"}
+
+
 @pytest.mark.parametrize("module, function, perturb, failing", MUTATIONS)
 def test_each_pinned_property_can_fail(monkeypatch, module, function, perturb, failing):
     original = getattr(module, function)
-    monkeypatch.setattr(
-        module, function, lambda *args, **kwargs: perturb(original(*args, **kwargs), *args)
-    )
+
+    def perturbed(*args, **kwargs):
+        return perturb(original(*args, **kwargs), *args)
+
+    # every module that binds the name, as report.py binds ensemble.family
+    for bound in [pairclone, *(m for m in vars(pairclone).values() if isinstance(m, types.ModuleType))]:
+        if getattr(bound, function, None) is original:
+            monkeypatch.setattr(bound, function, perturbed)
     results = {r.name: r for r in run_checks(grid=30)}
     for name in failing:
         assert not results[name].passed, results[name].line()
+
+
+def test_every_property_has_a_fault_that_fails_it():
+    failing = {name for case in MUTATIONS for name in case.values[3]}
+    assert failing | set(OWN_TESTS) == {r.name for r in run_checks(grid=30)}
