@@ -408,10 +408,10 @@ def test_angle_terms_array_matches_float_bits():
 
 
 # SHA-256 of angle_terms on verify's fine grid, its three arrays as <f8
-# bytes in order.  Like the sweep workload's SWEEP_SHA256 it pins this
-# host's libm: sin, cos and pow are not correctly rounded, so another C
-# library may give other last bits.  A change in how the terms are formed
-# shows here in Tier-1, not only in the sweep CSV.
+# bytes in order.  Like the sweep workload's SWEEP_SHA256 it pins the C
+# library it was taken with (glibc 2.36, x86-64): sin, cos and pow are not
+# correctly rounded, so another libm may give other last bits.  A change in
+# how the terms are formed shows here in Tier-1, not only in the sweep CSV.
 FINE_GRID_TERMS_SHA256 = "2c2677e3598ce949973e5f48a7f058e7c5d1991a6720035efd5f8c9d54d8c1a9"
 
 
