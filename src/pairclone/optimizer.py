@@ -33,8 +33,7 @@ from .linalg import _integer
 _SQRT_HALF = math.sqrt(0.5)
 
 # Coarsest and finest grids :func:`numeric_optimize` accepts.  At the
-# upper bound the cached first round (two (n + 1)^2 float64 arrays) takes
-# about 67 MB.
+# upper bound the cached first round keeps 200,068 nodes in about 5 MB.
 MIN_GRID_DENSITY = 64
 MAX_GRID_DENSITY = 2048
 # The one default first-round grid: numeric_optimize, verify, sweep --oracle-grid.
@@ -45,6 +44,7 @@ DEFAULT_GRID_DENSITY = 256
 _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
 _BATCH = 8  # searches per group; a group refines its searches in lockstep
+_DOMINANCE_MARGIN = 1e-12  # fixed by the proof in _first_round
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class NumericSearchReport:
 
     The first of ``rounds`` grids has (grid_density + 1)^2 nodes and each
     later one 65^2; ``evaluations`` is the Python int total of the call.
+    It counts every node of every grid searched, although the first round
+    rules out the nodes a neighbour beats without evaluating them.
     ``achieved_tolerance`` is the largest improvement of the incumbent
     fidelity over the final three rounds.
     """
@@ -128,12 +130,12 @@ def _chart_terms(ts, us, out=(None, None, None)):
     ``out[2]`` and ``out[0]`` if given (``out[1]`` is scratch).
 
     The chart is separable, so sin/cos are taken on the two axes only and
-    broadcast.
+    their outer products formed (each entry one product, as broadcasting).
     """
-    sin_t = np.sin(ts)[..., None]
+    sin_t = np.sin(ts)
     bb = (np.cos(ts) * _SQRT_HALF)[..., None]
-    aa = np.multiply(sin_t, np.cos(us)[..., None, :], out=out[0])
-    cc = np.multiply(sin_t, np.sin(us)[..., None, :], out=out[1])
+    aa = np.einsum("...i,...j->...ij", sin_t, np.cos(us), out=out[0])
+    cc = np.einsum("...i,...j->...ij", sin_t, np.sin(us), out=out[1])
     half_diff = np.multiply(aa, aa, out=out[2])
     mixed = np.multiply(np.add(aa, cc, out=aa), bb, out=aa)
     half_diff -= np.multiply(cc, cc, out=cc)
@@ -156,18 +158,36 @@ def _objective(terms, cos2, sin2, out) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _first_round(grid_density: int) -> tuple:
-    """Axis nodes (the same for t and u) and :func:`_chart_terms` of the
-    first round at ``grid_density``, all read-only.
+    """Axis nodes (the same for t and u) of the first round at
+    ``grid_density``, the ascending row-major flat indices of the nodes it
+    keeps and their :func:`_chart_terms` (T1, T2), all read-only.
 
-    They do not depend on the angle, so every search at this grid density
-    reuses them.  Each command uses one grid density, so the cache keeps
-    only the last one: two (n + 1)^2 float64 arrays.
+    The objective 0.5 + T1 cos2 + T2 sin2 is linear in cos2, sin2 >= 0,
+    which sum to 1 within a few ulps.  As |T1| <= 1/2, 0 <= T2 <= 1/2 and
+    the objective is <= 1, each node's rounded objective is within 3u
+    (u = 2^-53) of its exact value.  So a node that one of its 8 grid
+    neighbours beats by at least _DOMINANCE_MARGIN in both terms is strictly
+    below that neighbour at every angle: neither the best node nor tied
+    with it.  Only the other nodes are kept (3,463 of 66,049 at grid 256),
+    in row-major order, so argmax's first maximum is still the smallest
+    (t, u).  None of this depends on the angle; each command uses one grid
+    density, so the cache keeps only the last one.
     """
-    ts = np.linspace(0.0, math.pi / 2, grid_density + 1)
+    n = grid_density + 1
+    ts = np.linspace(0.0, math.pi / 2, n)
     terms = _chart_terms(ts, ts)
-    for array in (ts, *terms):
+    beaten = np.zeros((n, n), dtype=bool)
+    for dr, dc in itertools.product((-1, 0, 1), repeat=2):  # (0, 0) never beats itself
+        # node (r, c) against its neighbour (r + dr, c + dc), where it exists
+        node = slice(max(-dr, 0), n - max(dr, 0)), slice(max(-dc, 0), n - max(dc, 0))
+        near = slice(max(dr, 0), n - max(-dr, 0)), slice(max(dc, 0), n - max(-dc, 0))
+        beaten[node] |= ((terms[0][near] - terms[0][node] >= _DOMINANCE_MARGIN)
+                         & (terms[1][near] - terms[1][node] >= _DOMINANCE_MARGIN))
+    kept = np.flatnonzero(~beaten)
+    terms = tuple(term.ravel()[kept] for term in terms)
+    for array in (ts, kept, *terms):
         array.flags.writeable = False
-    return ts, terms
+    return ts, kept, terms
 
 
 def check_grid_density(grid_density, name: str = "grid_density") -> int:
@@ -193,10 +213,11 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
 
         a = sin t cos u,   c = sin t sin u,   b = cos t / sqrt(2)
 
-    The first round evaluates a (grid_density + 1)^2 grid over the whole
-    chart; each round then shrinks the search window to +-4 spacings of
-    the grid it just evaluated around the incumbent best, and every later
-    round evaluates a 65^2 grid (64 intervals) there.
+    The first round searches a (grid_density + 1)^2 grid over the whole
+    chart, evaluating the nodes :func:`_first_round` keeps; each round
+    then shrinks the search window to +-4 spacings of the grid it just
+    searched around the incumbent best, and every later round evaluates
+    a 65^2 grid (64 intervals) there.
     A single round can fail to improve just because window clipping moved
     the nodes, or because its best node is already the nearest to the
     optimum, so refinement stops only after three consecutive rounds
@@ -211,32 +232,33 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     intervals.  Results are deterministic: grids are fixed by
     (phi, grid_density) and ties resolve to the smallest (t, u).
 
-    The first round's grid does not depend on ``phi``: its angle-free
-    terms are built by the first search at a grid density and reused by
-    every later one at that density, until a search at another density
-    replaces them (two (grid_density + 1)^2 float64 arrays, 1.06 MB at
-    256 and 67 MB at 2048).  Groups of up to 8 searches run their first
-    rounds one by one, then their later rounds together, on plain arrays
-    over the searches still running: the incumbent (f, t, u), the t and u
-    spacings and the last three rounds' gains.  A round evaluates their
-    windows as (m, 65, 65) arrays, in work arrays allocated once per call
-    (two more of the first round's size, and 0.8 MB), then drops the
-    searches that finished.  Every search has the bits of a call at its angle.
+    The first round's grid does not depend on ``phi``: its kept nodes and
+    their angle-free terms are built by the first search at a grid density
+    and reused by every later one at that density, until a search at
+    another density replaces them (85 KB at 256 and 4.8 MB at 2048).
+    Groups of up to 8 searches run their first rounds one by one, then
+    their later rounds together, on plain arrays over the searches still
+    running: the incumbent (f, t, u), the t and u spacings and the last
+    three rounds' gains.  A round evaluates their windows as (m, 65, 65)
+    arrays, in work arrays allocated once per call (two of the kept nodes'
+    size, and 0.8 MB), then drops the searches that finished.  Every
+    search has the bits of a call at its angle.
     """
     single = np.ndim(phi) == 0
     sin2, cos2, _ = np.atleast_1d(*angle_terms(phi))
     grid_density = check_grid_density(grid_density)
-    ts, terms = _first_round(grid_density)
+    ts, kept, terms = _first_round(grid_density)
     half_pi, side = math.pi / 2, _REFINE_INTERVALS + 1
-    first, work = np.empty((2, *terms[0].shape)), np.empty((3, _BATCH, side, side))
+    first, work = np.empty((2, len(kept))), np.empty((3, _BATCH, side, side))
     reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c
     for start in range(0, len(sin2), _BATCH):  # a group of searches, refined in lockstep
         live = np.arange(start, min(start + _BATCH, len(sin2)))
         best = np.empty((3, len(live)))  # the incumbent (f, t, u) of each search
         for k, i in enumerate(live):
             ff = _objective(terms, cos2[i], sin2[i], first)
-            row, col = divmod(int(np.argmax(ff)), grid_density + 1)  # first max = smallest (t, u)
-            best[:, k] = ff[row, col], ts[row], ts[col]
+            node = int(np.argmax(ff))  # first max = smallest (t, u)
+            row, col = divmod(int(kept[node]), grid_density + 1)
+            best[:, k] = ff[node], ts[row], ts[col]
         spacing = np.full((2, len(live)), half_pi / grid_density)  # of the last grid's t and u axes
         gains = np.full((3, len(live)), math.inf)  # of the last three rounds, at [round % 3]
         for rounds in itertools.count(2):

@@ -200,11 +200,16 @@ class TestNumericOracle:
         assert numeric_optimize(0.3, grid_density=grid_density).rounds == rounds[1]
 
     def test_flat_objective_ends_by_tolerance(self, monkeypatch):
-        # no round gains, so the search stops once the grid is fine enough
+        # no round gains, so the search stops once the grid is fine enough;
+        # a flat objective ties every node, so the first round keeps them all
+        # and its incumbent is the node (0, 0)
         def flat(terms, cos2, sin2, out):
             out[0][...] = 0.75
             return out[0]
 
+        ts = np.linspace(0.0, math.pi / 2, 65)
+        every_node = np.arange(65 * 65), tuple(term.ravel() for term in optimizer._chart_terms(ts, ts))
+        monkeypatch.setattr(optimizer, "_first_round", lambda grid_density: (ts, *every_node))
         monkeypatch.setattr(optimizer, "_objective", flat)
         report = numeric_optimize(np.array([0.0, 0.3, 0.7, math.pi / 4, math.pi / 2]), grid_density=64)
         assert report.rounds.tolist() == [5] * 5
@@ -223,13 +228,14 @@ class TestNumericOracle:
 def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
     """Every round's nodes, on every window real searches visit, equal the
     objective evaluated on a full meshgrid, byte for byte: each first
-    round, from the cached terms, and each search's window in every
-    batched later round.  Each search's windows are the ones its own grids
-    ask for: +-4 spacings of its last grid around its incumbent so far,
-    clipped to [0, pi/2]."""
+    round's kept nodes, from the cached terms, and each search's window in
+    every batched later round.  Each search's windows are the ones its own
+    grids ask for: +-4 spacings of its last grid around its incumbent so
+    far, clipped to [0, pi/2]; its first incumbent is the full meshgrid's
+    best node."""
     chart_terms, objective = optimizer._chart_terms, optimizer._objective
     full = np.linspace(0.0, math.pi / 2, grid_density + 1)
-    cached = optimizer._first_round(grid_density)[1]
+    _, kept, cached = optimizer._first_round(grid_density)
     visited = {}  # per (cos2, sin2) of a search: its grids (ts, us, ff) in order
     axes = None  # of the batch being evaluated, each (m, 65)
 
@@ -242,7 +248,7 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
 
     def against_meshgrid(terms, cos2, sin2, out):
         ff = objective(terms, cos2, sin2, out)
-        if ff.ndim == 2:  # a first round
+        if ff.ndim == 1:  # a first round, on its kept nodes
             assert terms is cached
             grids = [(full, full, ff, cos2, sin2)]
         else:
@@ -254,8 +260,9 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
             cc = sin_tt * np.sin(uu)
             bb = np.cos(tt) * math.sqrt(0.5)
             reference = 0.5 + 0.5 * (aa * aa - cc * cc) * c2 + bb * (aa + cc) * s2
-            assert f.tobytes() == reference.tobytes(), (ts[0], ts[-1], us[0], us[-1])
-            visited.setdefault((float(c2), float(s2)), []).append((ts.copy(), us.copy(), f.copy()))
+            kept_reference = reference.ravel()[kept] if f.ndim == 1 else reference
+            assert f.tobytes() == kept_reference.tobytes(), (ts[0], ts[-1], us[0], us[-1])
+            visited.setdefault((float(c2), float(s2)), []).append((ts.copy(), us.copy(), reference))
         return ff
 
     monkeypatch.setattr(optimizer, "_chart_terms", recording_axes)
@@ -293,6 +300,74 @@ def test_separable_grid_is_bit_identical_to_meshgrid(monkeypatch, grid_density):
 # (or sits next to) the endpoint optimum, and later rounds can gain nothing
 # for several rounds while the optimum is still far from a node.
 NEAR_ENDPOINTS = [x for gap in np.geomspace(5e-4, 1e-2, 6) for x in (gap, math.pi / 2 - gap)]
+
+
+def _full_first_round(grid_density):
+    """Axis nodes and both terms of the first round on every node, as
+    (n + 1, n + 1) arrays."""
+    ts = np.linspace(0.0, math.pi / 2, grid_density + 1)
+    return ts, optimizer._chart_terms(ts, ts)
+
+
+@pytest.mark.parametrize("grid_density", [64, 128, 256])
+def test_pruned_first_round_keeps_the_bits_of_the_full_grid(monkeypatch, grid_density):
+    """The first round on the kept nodes picks the node and value a full
+    grid's argmax picks, by float.hex, at the special and near-endpoint
+    angles and 300 seeded ones.  Later rounds are NaN, so they never
+    replace the incumbent: each report holds its first round's best."""
+    objective = optimizer._objective
+
+    def nan_later_rounds(terms, cos2, sin2, out):
+        ff = objective(terms, cos2, sin2, out)
+        if np.ndim(cos2) > 0:
+            ff[...] = math.nan
+        return ff
+
+    monkeypatch.setattr(optimizer, "_objective", nan_later_rounds)
+    phis = np.array([0.0, math.pi / 4, math.pi / 2, *NEAR_ENDPOINTS,
+                     *np.random.default_rng(5000 + grid_density).uniform(0, math.pi / 2, 300)])
+    report = numeric_optimize(phis, grid_density=grid_density)
+    ts, terms = _full_first_round(grid_density)
+    work = np.empty((2, grid_density + 1, grid_density + 1))
+    sin2, cos2, _ = angle_terms(phis)
+    for i in range(len(phis)):
+        ff = objective(terms, cos2[i], sin2[i], work)
+        row, col = divmod(int(np.argmax(ff)), grid_density + 1)
+        t, u = ts[row], ts[col]
+        expected = [ff[row, col], math.sin(t) * math.cos(u), math.cos(t) * math.sqrt(0.5), math.sin(t) * math.sin(u)]
+        found = [report.best_fidelity[i], *(column[i] for column in report.best_coeffs)]
+        assert [float(x).hex() for x in found] == [float(x).hex() for x in expected], phis[i]
+
+
+@pytest.mark.parametrize("grid_density", [64, 128, 256])
+def test_pruned_first_round_bits_drop_only_beaten_nodes(grid_density):
+    """A node is dropped exactly when one of its 8 grid neighbours is at
+    least the margin larger in both terms, the kept terms are the full
+    grid's bits, and under a tenth of the nodes are kept, so the speed is
+    not silently lost."""
+    ts, kept, kept_terms = optimizer._first_round(grid_density)
+    full_ts, terms = _full_first_round(grid_density)
+    assert ts.tobytes() == full_ts.tobytes()
+    n = grid_density + 1
+    # -inf around the grid: a missing neighbour never beats a node
+    padded = [np.pad(term, 1, constant_values=-math.inf) for term in terms]
+    beaten = np.zeros((n, n), dtype=bool)
+    for dr, dc in itertools.product((-1, 0, 1), repeat=2):
+        if dr or dc:
+            gains = [p[1 + dr:1 + dr + n, 1 + dc:1 + dc + n] - term for p, term in zip(padded, terms)]
+            beaten |= (gains[0] >= optimizer._DOMINANCE_MARGIN) & (gains[1] >= optimizer._DOMINANCE_MARGIN)
+    assert kept.tolist() == np.flatnonzero(~beaten).tolist()
+    for kept_term, term in zip(kept_terms, terms):
+        assert kept_term.tobytes() == term.ravel()[kept].tobytes()
+    assert 10 * len(kept) < n * n
+
+
+def test_dominance_margin_bits_bound():
+    # Each node's rounded objective is within 3u (u = 2^-53) of its exact
+    # value, so a neighbour that gains the margin in both terms stays
+    # strictly above after rounding once the margin exceeds 2 * 3u; keep
+    # three orders of magnitude beyond that.
+    assert optimizer._DOMINANCE_MARGIN >= 1000 * 3 * 2.0**-53
 
 
 # SHA-256 of the float calls' reports on the 437 angles below, one line per
@@ -349,8 +424,8 @@ class TestFirstRoundCache:
         assert (info.misses, info.hits, info.currsize) == (1, 24, 1)
 
     def test_cached_arrays_are_read_only(self):
-        ts, (half_diff, mixed) = optimizer._first_round(64)
-        for array in (ts, half_diff, mixed):
+        ts, kept, (half_diff, mixed) = optimizer._first_round(64)
+        for array in (ts, kept, half_diff, mixed):
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0.0
 
