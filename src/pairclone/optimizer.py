@@ -130,7 +130,7 @@ def _chart_terms(ts, us, out=(None, None, None)):
     ``out[2]`` and ``out[0]`` if given (``out[1]`` is scratch).
 
     The chart is separable, so sin/cos are taken on the two axes only and
-    their outer products formed (each entry one product, as broadcasting).
+    their outer products formed, each entry one product.
     """
     sin_t = np.sin(ts)
     bb = (np.cos(ts) * _SQRT_HALF)[..., None]
