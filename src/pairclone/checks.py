@@ -92,7 +92,7 @@ def _grid_deviations(phis) -> dict:
     f_opt, eta_x, eta_z, *coeffs = optimizer.optimum(phis)
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
-    gram = isometries.conj().transpose(0, 2, 1) @ isometries
+    gram = (isometries.conj()[..., :, None] * isometries[..., None, :]).sum(axis=1)
     f_closed = cloner.fidelity_closed_form(coeffs, phis)
     eta = np.column_stack((eta_x, eta_z))
     mirrored = optimizer.optimum(_HALF_PI - phis)[2]

@@ -70,9 +70,7 @@ class ClonerCoefficients:
             object.__setattr__(self, name, 0.0 if value == 0 else value)  # -0.0 reports as 0
         defect = self.constraint_defect
         if abs(defect) > ATOL_INPUT:
-            raise UnitarityError(
-                f"a^2 + 2b^2 + c^2 deviates from 1 by {defect:.3e}"
-            )
+            raise UnitarityError(f"a^2 + 2b^2 + c^2 deviates from 1 by {defect:.3e}")
 
     @property
     def constraint_defect(self) -> float:
@@ -291,13 +289,14 @@ class CopyBatch(NamedTuple):
 
 def clone_batch(isometries, states) -> CopyBatch:
     """Push input kets of shape (N, K, 2) through isometries of shape
-    (N, 8, 2) and reduce each pure output straight to its two 2x2 copies;
-    the 8x8 output density matrices are never formed."""
-    n, k = states.shape[:2]
-    # out[n, k, i0, i1, i2]: amplitude on (copy 1, copy 2, ancilla)
-    out = (states @ isometries.transpose(0, 2, 1)).reshape(n, k, 2, 2, 2)
-    first = out.reshape(n, k, 2, 4)
-    second = out.transpose(0, 1, 3, 2, 4).reshape(n, k, 2, 4)
-    copy1 = first @ first.conj().swapaxes(-1, -2)
-    copy2 = second @ second.conj().swapaxes(-1, -2)
-    return CopyBatch(copy1, copy2, expectation(states, copy1).real)
+    (N, 8, 2) and reduce each pure output straight to its two 2x2 copies,
+    never forming the 8x8 output density matrices.  With the N*K inputs on
+    the trailing axes each step is one array operation over all of them."""
+    psi = np.ascontiguousarray(states.T)  # (2, K, N)
+    v = np.ascontiguousarray(isometries.T)[:, :, None]  # (2, 8, 1, N)
+    # out[i0, i1, i2, k, n]: amplitude on (copy 1, copy 2, ancilla)
+    out = (v[0] * psi[0] + v[1] * psi[1]).reshape(2, 2, 2, *psi.shape[1:])
+    bra = out.conj()
+    copy1 = np.einsum("rbckn,sbckn->nkrs", out, bra)
+    copy2 = np.einsum("arckn,asckn->nkrs", out, bra)
+    return CopyBatch(copy1, copy2, expectation(psi.T, copy1).real)

@@ -132,7 +132,7 @@ def partial_trace(rho, dims, keep: int) -> np.ndarray:
     keep = _integer(keep, "keep")
     if any(d < 1 for d in dims):
         raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total != rho.shape[0]:
         raise ValueError(
             f"subsystem dimensions {dims} multiply to {total}, "

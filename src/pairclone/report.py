@@ -46,9 +46,7 @@ class CloneReport:
     multiplier: float
 
 
-def build_clone_report(
-    phi: float, coeffs: ClonerCoefficients | None = None
-) -> CloneReport:
+def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> CloneReport:
     """Clone all four ensemble states at ``phi`` and collect every figure
     of merit, formula and simulation side by side.
 
@@ -74,7 +72,8 @@ def build_clone_report(
     x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:])
     simulated_eta = (float(x_probe[0]), float(z_probe[2]))
 
-    multiplier = recover_multiplier(coeffs, phi)
+    formula_fidelity = fidelity_closed_form(coeffs, phi)
+    multiplier = recover_multiplier(coeffs, phi, fidelity=formula_fidelity)
 
     return CloneReport(
         phi=phi,
@@ -82,7 +81,7 @@ def build_clone_report(
         used_closed_form_optimum=used_optimum,
         input_bloch=tuple(bloch[0]),
         simulated_fidelities=tuple(float(f) for f in fidelities),
-        formula_fidelity=fidelity_closed_form(coeffs, phi),
+        formula_fidelity=formula_fidelity,
         best_possible_fidelity=best_fidelity,
         formula_eta=shrinking_factors(coeffs),
         simulated_eta=simulated_eta,

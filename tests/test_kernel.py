@@ -3,7 +3,8 @@
 ``build_isometry`` is compared bit for bit with a ``numpy.kron``
 construction written out here, and the kernel's reduced copies with the
 closed-form fidelity, with each other and with the 8x8 density-matrix
-route (``apply_cloner`` then ``copy_state``).
+route (``apply_cloner`` then ``copy_state``), on the real family and on
+random complex kets through isometries with a complex ancilla.
 """
 
 import math
@@ -19,6 +20,7 @@ from pairclone.cloner import (
     build_isometry,
     clone_batch,
     copy_state,
+    fidelity,
     fidelity_closed_form,
     isometry_batch,
 )
@@ -77,6 +79,17 @@ def phase_only_ancilla(rng):
     return AncillaAssignment(*(phase * ket for phase, ket in zip(phases, kets)))
 
 
+def rotated_ancilla(rng):
+    """The default ancilla kets under one random unitary, each times a
+    random phase: complex kets that still give an isometry."""
+    unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    default = AncillaAssignment.default()
+    kets = (default.anc_a0, default.anc_b0, default.anc_c0,
+            default.anc_a1, default.anc_b1, default.anc_c1)
+    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
+    return AncillaAssignment(*(phase * (unitary @ ket) for phase, ket in zip(phases, kets)))
+
+
 @pytest.mark.parametrize("phase_only", [False, True])
 def test_build_isometry_matches_kron_reference_bit_for_bit(phase_only):
     rng = np.random.default_rng(SEED + 1)
@@ -106,6 +119,29 @@ def test_kernel_copies_match_density_matrix_route():
             rho_out = apply_cloner(isometry, psi)
             assert np.max(np.abs(copies.copy1[n, k] - copy_state(rho_out, 1))) <= 1e-12
             assert np.max(np.abs(copies.copy2[n, k] - copy_state(rho_out, 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (1, 6), (7, 1)])
+def test_kernel_matches_density_matrix_route_on_complex_data(shape):
+    # On the real family with the real default ancilla every copy is real
+    # and symmetric, so a transposed copy (rho^T = conj(rho)) or a
+    # misplaced conj passes; on complex data it does not.  N != K in two of
+    # the shapes, so swapped N and K axes fail too.
+    n, k = shape
+    rng = np.random.default_rng(SEED + 2)
+    isometries = np.stack([build_isometry(cc, rotated_ancilla(rng)) for cc in COEFFS[:n]])
+    kets = rng.normal(size=(n, k, 2)) + 1j * rng.normal(size=(n, k, 2))
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    copies = clone_batch(isometries, kets)
+    assert copies.copy1.shape == copies.copy2.shape == (n, k, 2, 2)
+    assert copies.fidelities.shape == (n, k)
+    for i, isometry in enumerate(isometries):
+        for j, psi in enumerate(kets[i]):
+            rho_out = apply_cloner(isometry, psi)
+            copy1, copy2 = copy_state(rho_out, 1), copy_state(rho_out, 2)
+            assert np.max(np.abs(copies.copy1[i, j] - copy1)) <= 1e-12
+            assert np.max(np.abs(copies.copy2[i, j] - copy2)) <= 1e-12
+            assert abs(copies.fidelities[i, j] - fidelity(psi, copy1)) <= 1e-12
 
 
 @pytest.mark.parametrize("grid", [2, 3])
