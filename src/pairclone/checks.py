@@ -92,12 +92,13 @@ def _grid_deviations(phis) -> dict:
     f_opt, eta_x, eta_z, *coeffs = optimizer.optimum(phis)
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
     fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
-    gram = (isometries.conj()[..., :, None] * isometries[..., None, :]).sum(axis=1)
+    gram = np.einsum("nai,naj->nij", isometries.conj(), isometries)
     f_closed = cloner.fidelity_closed_form(coeffs, phis)
     eta = np.column_stack((eta_x, eta_z))
     mirrored = optimizer.optimum(_HALF_PI - phis)[2]
     formula = np.column_stack(cloner.shrinking_factors(coeffs))
-    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, f_opt - 0.5, phis))
+    multiplier = optimizer.recover_multiplier(coeffs, phis, fidelity=f_opt)
+    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multiplier, phis))
     deviations.update({
         "optimal coefficient constraint": np.abs(cloner.constraint_defect(*coeffs)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),

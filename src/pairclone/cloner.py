@@ -289,12 +289,12 @@ class CopyBatch(NamedTuple):
 
 def clone_batch(isometries, states) -> CopyBatch:
     """Push input kets of shape (N, K, 2) through isometries of shape
-    (N, 8, 2) and reduce each pure output straight to its two 2x2 copies,
-    never forming the 8x8 output density matrices.  With the N*K inputs on
-    the trailing axes each step is one array operation over all of them."""
+    (N, 8, 2) and reduce each pure output straight to its two 2x2 copies;
+    the 8x8 output density matrices are never formed."""
     psi = np.ascontiguousarray(states.T)  # (2, K, N)
     v = np.ascontiguousarray(isometries.T)[:, :, None]  # (2, 8, 1, N)
-    # out[i0, i1, i2, k, n]: amplitude on (copy 1, copy 2, ancilla)
+    # out[i0, i1, i2, k, n]: amplitude on (copy 1, copy 2, ancilla).  With
+    # the inputs on the trailing axes each step is one array operation.
     out = (v[0] * psi[0] + v[1] * psi[1]).reshape(2, 2, 2, *psi.shape[1:])
     bra = out.conj()
     copy1 = np.einsum("rbckn,sbckn->nkrs", out, bra)

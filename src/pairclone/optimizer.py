@@ -115,12 +115,11 @@ def lagrange_residual(coeffs, multiplier, phi):
 
 
 def recover_multiplier(coeffs, phi, *, fidelity=None):
-    """lambda = F - 1/2 for :func:`lagrange_residual`, with F the
-    :func:`~pairclone.cloner.fidelity_closed_form` of the same arguments (a
-    float or an (N,) array) unless the caller passes it as ``fidelity``.  On
-    the constraint surface a r1 + b r2 + c r3 = 2 (F - 1/2) - 2 lambda, so
-    this is the only lambda that leaves the residual orthogonal to (a, b, c):
-    lambda* at every stationary point."""
+    """lambda = F - 1/2 for :func:`lagrange_residual`, with F the ``fidelity``
+    given, else :func:`~pairclone.cloner.fidelity_closed_form` of the same
+    arguments (a float or an (N,) array).  On the constraint surface a r1 +
+    b r2 + c r3 = 2 (F - 1/2) - 2 lambda, so this is the only lambda that
+    leaves the residual orthogonal to (a, b, c): lambda* at any stationary point."""
     return (fidelity_closed_form(coeffs, phi) if fidelity is None else fidelity) - 0.5
 
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from pairclone.cloner import ClonerCoefficients, UnitarityError
+from pairclone import optimizer, report as report_module
+from pairclone.cloner import ClonerCoefficients, UnitarityError, fidelity_closed_form
 from pairclone.report import build_clone_report, format_clone_report
 
 TOL = 1e-12
@@ -68,3 +69,18 @@ def test_tuple_coefficients_validated():
     assert format_clone_report(as_tuple) == format_clone_report(expected)
     with pytest.raises(UnitarityError, match="deviates from 1"):
         build_clone_report(0.3, (1.0, 0.1, 0.0))
+
+
+def test_closed_form_fidelity_evaluated_once(monkeypatch):
+    # the printed F and the multiplier F - 1/2 come from one evaluation
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fidelity_closed_form(*args)
+
+    for module in (report_module, optimizer):
+        monkeypatch.setattr(module, "fidelity_closed_form", spy)
+    report = build_clone_report(0.3, (1.0, 0.0, 0.0))
+    assert len(calls) == 1
+    assert report.multiplier == report.formula_fidelity - 0.5
