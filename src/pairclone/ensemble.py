@@ -74,9 +74,7 @@ def angle_terms(phis):
     real = phis.dtype.kind in _REAL_KINDS  # numpy orders complex numbers by their real part
     if phis.ndim != 1 or not real or not ((phis >= PHI_MIN) & (phis <= PHI_MAX)).all():
         raise ValueError("angles must be an (N,) array of values in [0, pi/2]")
-    values = phis.tolist()
-    sins = np.fromiter(map(math.sin, values), float, len(values))
-    coss = np.fromiter(map(math.cos, values), float, len(values))
+    sins, coss = np.sin(phis, dtype=float), np.cos(phis, dtype=float)
     return (np.float_power(sins, 2), np.float_power(coss, 2),
             np.sqrt(np.float_power(sins, 4) + np.float_power(coss, 4)))
 

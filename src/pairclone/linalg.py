@@ -159,11 +159,11 @@ def density_from_bloch(m) -> np.ndarray:
     m = np.asarray(m)
     if m.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {m.shape}")
-    m = np.array([_real(x, "Bloch vector component") for x in m])
+    x, y, z = m = [_real(v, "Bloch vector component") for v in m]
     norm = float(np.linalg.norm(m))
     if norm > 1.0 + ATOL_INPUT:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return 0.5 * (IDENTITY_2 + m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z)
+    return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
 def _density_operator(rho) -> np.ndarray:
@@ -172,10 +172,11 @@ def _density_operator(rho) -> np.ndarray:
     rho = as_matrix(rho, "rho")
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    herm_defect = float(np.abs(rho - rho.conj().T).max())
+    (r00, r01), (r10, r11) = rho.tolist()
+    herm_defect = max(abs(2 * r00.imag), abs(2 * r11.imag), abs(r01 - r10.conjugate()))
     if herm_defect > ATOL_INPUT:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    trace_defect = abs(complex(np.trace(rho)) - 1.0)
+    trace_defect = abs(r00 + r11 - 1.0)
     if trace_defect > ATOL_INPUT:
         raise ValueError(f"matrix trace deviates from 1 by {trace_defect:.3e}")
     return rho
@@ -194,11 +195,8 @@ def bloch_vectors(rho) -> np.ndarray:
     """Bloch components of a stack of 2x2 operators, shape (..., 2, 2) to
     (..., 3).  Batch kernel behind :func:`bloch_from_density`; it validates
     nothing, so callers pass operators they built themselves."""
-    return np.stack(
-        [
-            (rho[..., 0, 1] + rho[..., 1, 0]).real,
-            (rho[..., 1, 0] - rho[..., 0, 1]).imag,
-            (rho[..., 0, 0] - rho[..., 1, 1]).real,
-        ],
-        axis=-1,
-    )
+    bloch = np.empty(rho.shape[:-2] + (3,))
+    bloch[..., 0] = (rho[..., 0, 1] + rho[..., 1, 0]).real
+    bloch[..., 1] = (rho[..., 1, 0] - rho[..., 0, 1]).imag
+    bloch[..., 2] = (rho[..., 0, 0] - rho[..., 1, 1]).real
+    return bloch
