@@ -55,17 +55,19 @@ def angle_terms(phis):
     general fidelity for any overlap sums) starts from these and goes on
     with + - * / alone, so one body serves a float and an array with the
     same bits.
-    Two rules keep it so.  Each sine and cosine is taken element by element
-    with ``math.sin`` and ``math.cos``, as ``np.sin``/``np.cos`` depend on
-    numpy's SIMD dispatch.  Each power comes from ``np.float_power``,
-    whose one plain loop calls the C library's ``pow`` per element, as
-    Python's float ``**`` does; ``np.power`` squares by a product and
-    takes other powers in SIMD code, and differs in the last bit at some
-    angles.  Only the correctly rounded sum and square root are otherwise
-    vectorised.  This is the one place that tells a float from an
-    array, and it validates both: one angle with :func:`check_angle`, an
-    array with a real number dtype and one vectorised range check (NaN
-    fails it).
+    Two rules keep it so.  Each sine and cosine comes from ``np.sin`` and
+    ``np.cos`` with ``dtype=float``: numpy's float64 loops call the C
+    library's ``sin`` and ``cos`` once per element, as ``math.sin`` and
+    ``math.cos`` do, with SIMD dispatch on or off (NumPy 2.4.6), while a
+    float16 or float32 array would otherwise run numpy's own loop for that
+    dtype.  Each power comes from ``np.float_power``, whose one plain loop
+    calls the C library's ``pow`` per element, as Python's float ``**``
+    does; ``np.power`` squares by a product and takes other powers in SIMD
+    code, and differs in the last bit at some angles.  Only the correctly
+    rounded sum and square root are otherwise vectorised.  This is the one
+    place that tells a float from an array, and it validates both: one
+    angle with :func:`check_angle`, an array with a real number dtype and
+    one vectorised range check (NaN fails it).
     """
     if not isinstance(phis, np.ndarray) or phis.ndim == 0:
         phi = check_angle(phis)

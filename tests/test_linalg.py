@@ -8,8 +8,10 @@ from pairclone.linalg import (
     KET_0,
     KET_1,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     bloch_from_density,
+    bloch_vectors,
     density_from_bloch,
     partial_trace,
     tensor,
@@ -204,6 +206,36 @@ class TestBlochMaps:
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             bloch_from_density(np.eye(2, dtype=complex))
+
+    def test_hermitian_check_reads_the_imaginary_bits_of_the_diagonal(self):
+        # trace exactly 1, off-diagonal clean: only the diagonal is not real
+        bad = np.diag([0.5 + 1e-6j, 0.5 - 1e-6j])
+        with pytest.raises(ValueError, match="Hermitian"):
+            bloch_from_density(bad)
+
+    def test_density_bits_match_the_pauli_sum(self):
+        # Every entry to the last bit; only the sign of a zero may differ
+        # (m = (-0, 0, 0) gives an off-diagonal -0 where the sum gives +0).
+        rng = np.random.default_rng(20261024)
+        directions = rng.normal(size=(2000, 3))
+        radii = rng.uniform(0.0, 1.0, size=(2000, 1)) ** (1 / 3)
+        poles = np.concatenate([np.eye(3), -np.eye(3)])
+        for m in np.concatenate([directions / np.linalg.norm(directions, axis=1)[:, None] * radii, poles]):
+            pauli_sum = 0.5 * (IDENTITY_2 + m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z)
+            assert np.array_equal(density_from_bloch(m), pauli_sum), m
+
+    def test_bloch_vectors_bits_match_the_stacked_components(self):
+        rng = np.random.default_rng(20261025)
+        rho = rng.normal(size=(50, 7, 2, 2)) + 1j * rng.normal(size=(50, 7, 2, 2))
+        stacked = np.stack(
+            [
+                (rho[..., 0, 1] + rho[..., 1, 0]).real,
+                (rho[..., 1, 0] - rho[..., 0, 1]).imag,
+                (rho[..., 0, 0] - rho[..., 1, 1]).real,
+            ],
+            axis=-1,
+        )
+        assert bloch_vectors(rho).tobytes() == stacked.tobytes()
 
     @given(
         st.tuples(

@@ -482,6 +482,18 @@ def test_angle_terms_array_matches_float_bits():
     _same_bits(angle_terms(ANGLES), list(map(angle_terms, ANGLES.tolist())))
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.longdouble, int])
+def test_angle_terms_other_dtypes_keep_the_float_bits(dtype):
+    """An array of another real dtype is taken to float64 before its sines,
+    as each element is on the float path; numpy's own float16, float32 or
+    longdouble loops would give other bits."""
+    if dtype is int:
+        phis = np.array([0, 1, 1, 0, 1])
+    else:
+        phis = np.random.default_rng(20261024).uniform(0.0, 1.5, 5000).astype(dtype)
+    _same_bits(angle_terms(phis), list(map(angle_terms, phis.tolist())))
+
+
 # SHA-256 of angle_terms on verify's fine grid, its three arrays as <f8
 # bytes in order.  Like the sweep workload's SWEEP_SHA256 it pins the C
 # library it was taken with (glibc 2.36, x86-64): sin, cos and pow are not
