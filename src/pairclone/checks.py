@@ -2,7 +2,9 @@
 
 Each check walks a phi grid (or a seeded random sample), records the
 worst observed deviation from the property it tests, and passes when that
-deviation is finite and under its bound.  The bounds are fixed: 1e-10 for
+deviation is finite and under its bound.  :func:`_worst` is the one
+reduction: it finds the worst angle of each block of the grid, then reduces
+the blocks' results in the same way.  The bounds are fixed: 1e-10 for
 the closed-form identities, 1e-8 and 1e-4 for the grid-search oracle's
 fidelity and coefficients (its accuracy is set by refinement depth, not
 roundoff), and the fine grid's step for the location of the minimum.
@@ -46,17 +48,12 @@ class CheckResult:
         )
 
 
-def _per_sample(deviations) -> np.ndarray:
-    """Largest deviation of each sample along the leading axis.  ``np.max``,
-    not ``nanmax``: a NaN anywhere stays the sample's deviation."""
-    deviations = np.asarray(deviations, dtype=float)
-    return np.max(deviations.reshape(len(deviations), -1), axis=1)
-
-
 def _worst(name: str, deviations, tolerance: float, where) -> CheckResult:
-    """Largest deviation over all samples; ``where(i)`` names sample ``i``.
-    A NaN anywhere becomes the reported deviation, so the check fails."""
-    per_sample = _per_sample(deviations)
+    """Largest deviation over all samples along the leading axis; ``where(i)``
+    names sample ``i``.  ``np.max``, not ``nanmax``: a NaN anywhere becomes
+    the reported deviation, so the check fails."""
+    deviations = np.asarray(deviations, dtype=float)
+    per_sample = np.max(deviations.reshape(len(deviations), -1), axis=1)
     index = int(np.argmax(per_sample))  # first maximum, or first NaN
     worst = float(per_sample[index])
     if not (worst > 0.0 or math.isnan(worst)):
@@ -69,8 +66,8 @@ def _at_phi(phis):
 
 
 def _grid_deviations(phis) -> dict:
-    """Deviation of every grid property at each angle of ``phis``, one
-    array of shape (N,) per property, in report order."""
+    """Deviations of every grid property at the angles ``phis``, one array
+    per property with the angle on its leading axis, in report order."""
     # --- ensemble geometry ----------------------------------------------
     states, bloch = ensemble.family(phis)  # (N, 4, 2), (N, 4, 3)
     s, c = np.sin(phis), np.cos(phis)
@@ -111,7 +108,7 @@ def _grid_deviations(phis) -> dict:
         "shrinking reflection symmetry": np.abs(eta[:, 0] - mirrored),
         "stationarity residuals": np.abs(residuals),
     })
-    return {name: _per_sample(d) for name, d in deviations.items()}
+    return deviations
 
 
 def run_checks(grid: int = 1000) -> list[CheckResult]:
@@ -126,18 +123,16 @@ def run_checks(grid: int = 1000) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # Blocks of angles bound the working memory for any grid size: each
-    # block keeps only its worst angle per property.  The first maximum
-    # (or first NaN) of the block maxima is that of all angles.
-    block_worst = {}  # name -> [(deviation, index into phis)] in block order
-    start = 0
-    for block in np.array_split(phis, -(-grid // _BLOCK)):
-        for name, per_angle in _grid_deviations(block).items():
-            index = int(np.argmax(per_angle))  # first maximum, or first NaN
-            block_worst.setdefault(name, []).append((per_angle[index], start + index))
-        start += len(block)
-    for name, worst in block_worst.items():
-        deviations, indices = zip(*worst)
-        results.append(_worst(name, deviations, _IDENTITY_BOUND, _at_phi(phis[list(indices)])))
+    # block keeps only its worst angle per property, and the first maximum
+    # (or first NaN) of the blocks' results is that of all angles.
+    blocks = [
+        [_worst(name, d, _IDENTITY_BOUND, _at_phi(block)) for name, d in _grid_deviations(block).items()]
+        for block in np.array_split(phis, -(-grid // _BLOCK))
+    ]
+    for per_block in zip(*blocks):
+        where = [r.worst_at for r in per_block]
+        deviations = [r.deviation for r in per_block]
+        results.append(_worst(per_block[0].name, deviations, _IDENTITY_BOUND, where.__getitem__))
 
     # --- copy symmetry and channel geometry on random states -------------
     # (these 25 angles and their optimum serve the oracle block too)

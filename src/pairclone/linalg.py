@@ -29,11 +29,6 @@ ADMITTED_DIMS = (1, 2, 4, 8)
 # elsewhere use the tighter 1e-12.
 ATOL_INPUT = 1e-9
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 
@@ -83,12 +78,20 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _norm(vector) -> float:
+    """Euclidean norm: ``np.linalg.norm``'s bits wherever the squared norm is
+    finite, else ``math.hypot``, which squares nothing and so never warns."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vector))
+    return norm if math.isfinite(norm) else math.hypot(*np.real(vector), *np.imag(vector))
+
+
 def _unit_ket(values, name: str, atol: float = ATOL_INPUT) -> np.ndarray:
     """``values`` as a 2-dimensional ket of norm 1 within ``atol``."""
     ket = as_matrix(values, name)
     if ket.shape != (2,):
         raise ValueError(f"{name} must be a 2-dimensional ket, got shape {ket.shape}")
-    norm = float(np.linalg.norm(ket))
+    norm = _norm(ket)
     if abs(norm - 1.0) > atol:
         raise ValueError(f"{name} has norm {norm}, expected 1")
     return ket
@@ -160,7 +163,7 @@ def density_from_bloch(m) -> np.ndarray:
     if m.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {m.shape}")
     x, y, z = m = [_real(v, "Bloch vector component") for v in m]
-    norm = float(np.linalg.norm(m))
+    norm = _norm(m)
     if norm > 1.0 + ATOL_INPUT:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])

@@ -187,9 +187,12 @@ def test_parameters_validated(monkeypatch):
             run_checks(grid=bad)
 
 
-def test_grid_blocks_do_not_change_results(monkeypatch):
+# 1: every angle in its own block; 7: eight blocks of 7 or 6; 49: two of 25,
+# as np.array_split balances the blocks
+@pytest.mark.parametrize("block", [1, 7, 49])
+def test_grid_blocks_do_not_change_results(monkeypatch, block):
     whole = [r.line() for r in run_checks(grid=50)]
-    monkeypatch.setattr(checks, "_BLOCK", 7)
+    monkeypatch.setattr(checks, "_BLOCK", block)
     split = [r.line() for r in run_checks(grid=50)]
     assert split == whole
 

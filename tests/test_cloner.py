@@ -104,11 +104,13 @@ class TestIsometry:
             build_isometry(optimal_coefficients(0.7), same)
 
     def test_ancilla_norm_validated(self):
-        with pytest.raises(ValueError, match="norm"):
-            AncillaAssignment(
-                anc_a0=np.array([2.0, 0.0]), anc_b0=KET_1, anc_c0=KET_0,
-                anc_a1=KET_1, anc_b1=KET_0, anc_c1=KET_1,
-            )
+        # 1e200: the squared norm overflows, yet the gate still names the norm
+        for anc_a0 in ([2.0, 0.0], [1e200, 0.0]):
+            with pytest.raises(ValueError, match="norm"):
+                AncillaAssignment(
+                    anc_a0=np.array(anc_a0), anc_b0=KET_1, anc_c0=KET_0,
+                    anc_a1=KET_1, anc_b1=KET_0, anc_c1=KET_1,
+                )
 
 
 class TestApplyAndReduce:
@@ -125,8 +127,9 @@ class TestApplyAndReduce:
 
     def test_non_unit_input_rejected(self):
         v = build_isometry(CLASSICAL)
-        with pytest.raises(ValueError, match="norm"):
-            apply_cloner(v, np.array([1.0, 1.0]))
+        for psi in ([1.0, 1.0], [1e200, 0.0]):  # 1e200: the squared norm overflows
+            with pytest.raises(ValueError, match="norm"):
+                apply_cloner(v, np.array(psi))
 
     def test_copies_share_reduced_state(self):
         v = build_isometry(optimal_coefficients(math.pi / 3))

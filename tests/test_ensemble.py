@@ -11,9 +11,10 @@ from pairclone.ensemble import (
     make_ensemble,
     pair_overlaps,
 )
-from pairclone.linalg import SIGMA_X, bloch_from_density
+from pairclone.linalg import bloch_from_density
 
 TOL = 1e-12
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @pytest.mark.filterwarnings("error")  # a bad angle raises at once, it never warns

@@ -4,12 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairclone.linalg import (
-    IDENTITY_2,
     KET_0,
     KET_1,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     bloch_from_density,
     bloch_vectors,
     density_from_bloch,
@@ -18,6 +14,12 @@ from pairclone.linalg import (
 )
 
 SELF_TOL = 1e-12
+
+# Pauli-sum reference for the qubit operators
+IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def ptrace_by_index_summation(rho, dims, keep):
@@ -187,8 +189,9 @@ class TestBlochMaps:
                 density_from_bloch(m)
 
     @pytest.mark.parametrize(
-        "m", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0], [0.0], [0.0]]],
-        ids=["nan", "inf", "shape-2", "shape-3x1"],
+        "m",
+        [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0], [[0.0], [0.0], [0.0]], [1e200, 0.0, 0.0]],
+        ids=["nan", "inf", "shape-2", "shape-3x1", "squared-norm-overflows"],
     )
     def test_non_finite_or_misshapen_input_rejected(self, m):
         with pytest.raises(ValueError):

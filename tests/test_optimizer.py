@@ -32,6 +32,18 @@ F_THIRD_PI = 0.8952847075210475
 COEFFS_QUARTER_PI = (0.8535533905932737, 0.3535533905932738, 0.1464466094067262)
 
 
+_OBJECTIVE = optimizer._objective  # the oracle's objective, before any monkeypatch
+
+
+def _nan_later_rounds(terms, cos2, sin2, out):
+    """The oracle's objective, NaN on every node of the rounds after the
+    first: only those take ``cos2`` as an array, one row per live search."""
+    ff = _OBJECTIVE(terms, cos2, sin2, out)
+    if np.ndim(cos2) > 0:
+        ff[...] = math.nan
+    return ff
+
+
 class TestClosedFormOptimum:
     def test_coefficients_at_zero(self):
         cc = optimal_coefficients(0.0)
@@ -186,15 +198,7 @@ class TestNumericOracle:
         # a NaN later round never replaces the incumbent and its gain is NaN,
         # so only the collapse rule can end the search: each window is at
         # most 1/8 as wide as the one before, so within 14 rounds
-        objective = optimizer._objective
-
-        def nan_later_rounds(terms, cos2, sin2, out):
-            ff = objective(terms, cos2, sin2, out)
-            if np.ndim(cos2) > 0:
-                ff[...] = math.nan
-            return ff
-
-        monkeypatch.setattr(optimizer, "_objective", nan_later_rounds)
+        monkeypatch.setattr(optimizer, "_objective", _nan_later_rounds)
         report = numeric_optimize(np.array([0.0, 0.3, 0.7, math.pi / 4, math.pi / 2]), grid_density=grid_density)
         assert report.rounds.tolist() == rounds
         assert numeric_optimize(0.3, grid_density=grid_density).rounds == rounds[1]
@@ -315,15 +319,7 @@ def test_pruned_first_round_keeps_the_bits_of_the_full_grid(monkeypatch, grid_de
     grid's argmax picks, by float.hex, at the special and near-endpoint
     angles and 300 seeded ones.  Later rounds are NaN, so they never
     replace the incumbent: each report holds its first round's best."""
-    objective = optimizer._objective
-
-    def nan_later_rounds(terms, cos2, sin2, out):
-        ff = objective(terms, cos2, sin2, out)
-        if np.ndim(cos2) > 0:
-            ff[...] = math.nan
-        return ff
-
-    monkeypatch.setattr(optimizer, "_objective", nan_later_rounds)
+    monkeypatch.setattr(optimizer, "_objective", _nan_later_rounds)
     phis = np.array([0.0, math.pi / 4, math.pi / 2, *NEAR_ENDPOINTS,
                      *np.random.default_rng(5000 + grid_density).uniform(0, math.pi / 2, 300)])
     report = numeric_optimize(phis, grid_density=grid_density)
@@ -331,7 +327,7 @@ def test_pruned_first_round_keeps_the_bits_of_the_full_grid(monkeypatch, grid_de
     work = np.empty((2, grid_density + 1, grid_density + 1))
     sin2, cos2, _ = angle_terms(phis)
     for i in range(len(phis)):
-        ff = objective(terms, cos2[i], sin2[i], work)
+        ff = _OBJECTIVE(terms, cos2[i], sin2[i], work)
         row, col = divmod(int(np.argmax(ff)), grid_density + 1)
         t, u = ts[row], ts[col]
         expected = [ff[row, col], math.sin(t) * math.cos(u), math.cos(t) * math.sqrt(0.5), math.sin(t) * math.sin(u)]
