@@ -117,10 +117,11 @@ def family(phis) -> tuple[np.ndarray, np.ndarray]:
     """
     phis = np.asarray(phis, dtype=float)
     al, be = np.cos(phis / 2), np.sin(phis / 2)
-    states = np.stack([al, be, al, -be, be, -al, be, al], axis=-1)
+    states = np.array([al, be, al, -be, be, -al, be, al], dtype=complex)
     s, c, zero = np.sin(phis), np.cos(phis), np.zeros_like(phis)
-    bloch = np.stack([s, zero, c, -s, zero, c, -s, zero, -c, s, zero, -c], axis=-1)
-    return states.reshape(-1, 4, 2).astype(complex), bloch.reshape(-1, 4, 3)
+    bloch = np.array([s, zero, c, -s, zero, c, -s, zero, -c, s, zero, -c])
+    # one entry per row, angles along the columns: transpose, then lay out in C order
+    return np.ascontiguousarray(states.T).reshape(-1, 4, 2), np.ascontiguousarray(bloch.T).reshape(-1, 4, 3)
 
 
 def make_ensemble(phi: float) -> FourStateEnsemble:

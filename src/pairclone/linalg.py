@@ -37,9 +37,10 @@ _REAL_KINDS = "iuf"  # NumPy dtype kinds of real numbers: int, unsigned int, flo
 
 def _real(value, name: str) -> float:
     """``value`` as a float if it is a real number, else ValueError naming ``name``."""
-    array = np.asarray(value)
-    if array.ndim or array.dtype.kind not in _REAL_KINDS:
-        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    if not isinstance(value, float):  # a Python float or np.float64 needs no probe
+        array = np.asarray(value)
+        if array.ndim or array.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite")
@@ -79,11 +80,13 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def _norm(vector) -> float:
-    """Euclidean norm: ``np.linalg.norm``'s bits wherever the squared norm is
-    finite, else ``math.hypot``, which squares nothing and so never warns."""
+    """Euclidean norm by ``np.linalg.norm``'s own dot products, so with its bits, wherever
+    the squared norm is finite, else ``math.hypot``, which squares nothing and so never warns."""
+    x = np.asarray(vector)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vector))
-    return norm if math.isfinite(norm) else math.hypot(*np.real(vector), *np.imag(vector))
+        square = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
+    norm = math.sqrt(square)
+    return norm if math.isfinite(norm) else math.hypot(*x.real, *x.imag)
 
 
 def _unit_ket(values, name: str, atol: float = ATOL_INPUT) -> np.ndarray:
@@ -111,14 +114,13 @@ def tensor(a, b) -> np.ndarray:
     b = as_matrix(b, "tensor operand b")
     if a.ndim != b.ndim:
         raise ValueError("tensor operands must both be vectors or both matrices")
-    for la, lb in zip(a.shape, b.shape):
-        if la * lb not in ADMITTED_DIMS:
-            raise ValueError(
-                f"tensor product axis length {la * lb} not in {ADMITTED_DIMS}"
-            )
+    shape = [la * lb for la, lb in zip(a.shape, b.shape)]
+    for length in shape:
+        if length not in ADMITTED_DIMS:
+            raise ValueError(f"tensor product axis length {length} not in {ADMITTED_DIMS}")
     # axes (a rows, b rows[, a cols, b cols])
     product = a[:, None] * b if a.ndim == 1 else a[:, None, :, None] * b[:, None]
-    return product.reshape([la * lb for la, lb in zip(a.shape, b.shape)])
+    return product.reshape(shape)
 
 
 def partial_trace(rho, dims, keep: int) -> np.ndarray:

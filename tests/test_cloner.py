@@ -27,6 +27,10 @@ TOL = 1e-12
 CLASSICAL = ClonerCoefficients(a=1.0, b=0.0, c=0.0)
 
 
+class _Float(float):
+    """A float subclass, a real number like any float."""
+
+
 def coeffs_from_surface_angles(t, u):
     """Exact point on the constraint surface a^2 + 2b^2 + c^2 = 1."""
     return ClonerCoefficients(
@@ -54,7 +58,8 @@ class TestCoefficients:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "bad", [None, 1 + 0j, "0.5", True, np.complex128(0.3 + 1j), pytest.param(10**400, id="10**400")]
+        "bad",
+        [None, 1 + 0j, "0.5", True, np.complex128(0.3 + 1j), pytest.param(10**400, id="10**400"), np.bool_(True)],
     )
     def test_non_number_rejected(self, bad):
         with pytest.raises(ValueError, match="coefficient a must be a real number, got "):
@@ -68,6 +73,9 @@ class TestCoefficients:
         numpy_kinds = ClonerCoefficients(a=np.float32(0.5), b=np.array(0.5), c=0.5)
         assert numpy_kinds == ClonerCoefficients(0.5, 0.5, 0.5)
         assert tuple(map(type, ClonerCoefficients(np.int64(1), 0, 0))) == (float, float, float)
+        float_kinds = ClonerCoefficients(a=np.float64(0.5), b=_Float(0.5), c=np.array(0.5, dtype=np.float32))
+        assert float_kinds == ClonerCoefficients(0.5, 0.5, 0.5)
+        assert tuple(map(type, float_kinds)) == (float, float, float)
 
     def test_defect_reported(self):
         cc = ClonerCoefficients(a=0.5, b=0.5, c=0.5)

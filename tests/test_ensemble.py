@@ -17,6 +17,10 @@ TOL = 1e-12
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
+class _Float(float):
+    """A float subclass, a real number like any float."""
+
+
 @pytest.mark.filterwarnings("error")  # a bad angle raises at once, it never warns
 def test_angle_bounds():
     assert check_angle(0.0) == 0.0
@@ -30,10 +34,14 @@ def test_angle_bounds():
     with pytest.raises(ValueError, match="angle must be a real number, got NoneType"):
         check_angle(None)
     # no parsing from text, no bool as 1, no dropped imaginary part, no OverflowError
-    for bad in ["0.5", True, np.complex128(0.3 + 1j), 10**400]:
+    for bad in ["0.5", True, np.complex128(0.3 + 1j), 10**400, np.bool_(True)]:
         with pytest.raises(ValueError, match="angle must be a real number, got "):
             check_angle(bad)
-    for good in [np.float32(0.5), np.int64(1), np.array(0.5)]:
+    with pytest.raises(ValueError, match="^angle must be a real number, got bool$"):
+        check_angle(np.bool_(False))
+    # float instances (np.float64, a subclass) skip the 0-d array probe, other kinds take it
+    for good in [np.float32(0.5), np.int64(1), np.array(0.5), np.float64(0.5), _Float(0.5),
+                 np.array(0.25, dtype=np.float32)]:
         phi = check_angle(good)
         assert type(phi) is float and phi == float(good)
     with pytest.raises(ValueError):
@@ -137,11 +145,15 @@ def test_family_is_the_docstring_tables_byte_for_byte():
     for k, ((up, down), (x, z)) in enumerate(table):  # psi_k+1 and m_k+1
         states[:, k, 0], states[:, k, 1] = up, down
         bloch[:, k, 0], bloch[:, k, 2] = x, z
-    got_states, got_bloch = family(phis)
-    assert (got_states.shape, got_states.dtype) == (states.shape, states.dtype)
-    assert (got_bloch.shape, got_bloch.dtype) == (bloch.shape, bloch.dtype)
-    assert got_states.tobytes() == states.tobytes()
-    assert got_bloch.tobytes() == bloch.tobytes()
+    # the (N,) array of the verify grid, and the one-angle list of build_clone_report
+    cases = [(phis, slice(None))] + [([float(phi)], slice(k, k + 1)) for k, phi in enumerate(phis[:5])]
+    for angles, rows in cases:
+        got_states, got_bloch = family(angles)
+        assert (got_states.shape, got_states.dtype) == (states[rows].shape, states.dtype)
+        assert (got_bloch.shape, got_bloch.dtype) == (bloch[rows].shape, bloch.dtype)
+        assert got_states.flags.c_contiguous and got_bloch.flags.c_contiguous
+        assert got_states.tobytes() == states[rows].tobytes()
+        assert got_bloch.tobytes() == bloch[rows].tobytes()
 
 
 def test_states_are_read_only():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from pairclone.linalg import (
     KET_0,
     KET_1,
+    _norm,
     bloch_from_density,
     bloch_vectors,
     density_from_bloch,
@@ -196,6 +197,18 @@ class TestBlochMaps:
     def test_non_finite_or_misshapen_input_rejected(self, m):
         with pytest.raises(ValueError):
             density_from_bloch(m)
+
+    def test_norm_bits_equal_numpy_linalg_norm(self):
+        # real 3-vectors as density_from_bloch passes them (a list of floats),
+        # complex 2-vectors as _unit_ket does, over magnitudes whose squares stay finite
+        rng = np.random.default_rng(20261026)
+        scales = 10.0 ** rng.uniform(-160, 150, size=(2000, 1))
+        reals = rng.normal(size=(2000, 3)) * scales
+        kets = (rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))) * scales
+        for m, ket in zip(reals, kets):
+            assert _norm(m.tolist()) == np.linalg.norm(m), m
+            assert _norm(m) == np.linalg.norm(m), m
+            assert _norm(ket) == np.linalg.norm(ket), ket
 
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())
