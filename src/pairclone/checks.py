@@ -21,6 +21,7 @@ from . import cloner, ensemble, linalg, optimizer
 
 _HALF_PI = math.pi / 2
 _SEED = 20260808
+_CHANNEL_SEED = _SEED + 1  # the channel block's complex kets
 _BLOCK = 1024  # angles per kernel call in the grid sweep
 # Fixed bounds on the worst deviation; see the module docstring.
 _IDENTITY_BOUND = 1e-10
@@ -88,7 +89,9 @@ def _grid_deviations(phis) -> dict:
     # --- optimum: constraint, isometry, fidelities, shrinking ------------
     f_opt, eta_x, eta_z, *coeffs = optimizer.optimum(phis)
     isometries = cloner.isometry_batch(np.column_stack(coeffs))
-    fids = cloner.clone_batch(isometries, states).fidelities  # (N, 4)
+    copies = cloner.clone_batch(isometries, states)
+    # both copies' fidelities, (N, 8): the paper's claim covers each copy
+    fids = np.concatenate([copies.fidelities, cloner.expectation(states, copies.copy2).real], axis=1)
     gram = np.einsum("nai,naj->nij", isometries.conj(), isometries)
     f_closed = cloner.fidelity_closed_form(coeffs, phis)
     eta = np.column_stack((eta_x, eta_z))
@@ -134,22 +137,30 @@ def run_checks(grid: int = 1000) -> list[CheckResult]:
         deviations = [r.deviation for r in per_block]
         results.append(_worst(per_block[0].name, deviations, _IDENTITY_BOUND, where.__getitem__))
 
-    # --- copy symmetry and channel geometry on random states -------------
+    # --- copy symmetry and channel geometry on random complex states -----
     # (these 25 angles and their optimum serve the oracle block too)
     coarse_phis = np.linspace(0.0, _HALF_PI, 25)
     coarse_f, _, _, *coarse_coeffs = optimizer.optimum(coarse_phis)
-    thetas = rng.uniform(0.0, 2 * math.pi, size=(len(coarse_phis), 100))
-    kets = np.stack([np.cos(thetas / 2), np.sin(thetas / 2)], axis=-1).astype(complex)
+    # Haar-random kets (alpha, beta) from the block's own stream, with Bloch
+    # vectors m = (2 Re alpha* beta, 2 Im alpha* beta, |alpha|^2 - |beta|^2)
+    normal = np.random.default_rng(_CHANNEL_SEED).normal(size=(len(coarse_phis), 100, 2, 2))
+    kets = normal[..., 0] + 1j * normal[..., 1]
+    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    alpha, beta = kets[..., 0], kets[..., 1]
+    cross = alpha.conj() * beta
+    m_in = np.stack([2 * cross.real, 2 * cross.imag, np.abs(alpha) ** 2 - np.abs(beta) ** 2], axis=-1)
     copies = cloner.clone_batch(cloner.isometry_batch(np.column_stack(coarse_coeffs)), kets)
+    # By the expansion in cloner's docstring each copy has <0|rho|1> = 2ab alpha
+    # beta* + 2bc alpha* beta, so m_x - i m_y = 2<0|rho|1> goes to eta_x m_x -
+    # i eta_y m_y with eta_x = 2b(a + c) and eta_y = 2b(a - c); eta_z = a^2 - c^2.
+    a, b, c = coarse_coeffs
     eta_x, eta_z = cloner.shrinking_factors(coarse_coeffs)
-    m_expected = np.stack(
-        [eta_x[:, None] * np.sin(thetas), np.zeros_like(thetas), eta_z[:, None] * np.cos(thetas)],
-        axis=-1,
-    )
+    eta = np.column_stack((eta_x, 2 * b * (a - c), eta_z))[:, None, None]  # (25, 1, 1, 3)
+    m_out = linalg.bloch_vectors(np.stack([copies.copy1, copies.copy2], axis=2))  # (25, 100, 2, 3)
     at_coarse = _at_phi(coarse_phis)
     copy_gap = np.abs(copies.copy1 - copies.copy2)
     results.append(_worst("copy 1 equals copy 2", copy_gap, _IDENTITY_BOUND, at_coarse))
-    contraction = np.abs(linalg.bloch_vectors(copies.copy1) - m_expected)
+    contraction = np.abs(m_out - eta * m_in[:, :, None])
     results.append(_worst("channel Bloch contraction map", contraction, _IDENTITY_BOUND, at_coarse))
 
     # --- general fidelity formula over random feasible coefficients ------

@@ -39,6 +39,10 @@ from .linalg import (
 )
 
 
+_IDENTITY_2 = np.eye(2)  # the Gram matrix of orthonormal columns
+_IDENTITY_2.setflags(write=False)
+
+
 class UnitarityError(ValueError):
     """Coefficients or ancilla choices incompatible with a norm-preserving map."""
 
@@ -128,7 +132,7 @@ def build_isometry(
     :class:`UnitarityError`.
     """
     isometry = np.ascontiguousarray(isometry_batch([tuple(coeffs)], ancilla)[0])
-    gram_defect = float(np.abs(isometry.conj().T @ isometry - np.eye(2)).max())
+    gram_defect = float(np.abs(isometry.conj().T @ isometry - _IDENTITY_2).max())
     if gram_defect > ATOL_INPUT:
         raise UnitarityError(
             f"columns are not orthonormal (defect {gram_defect:.3e}); "

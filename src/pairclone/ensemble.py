@@ -38,11 +38,12 @@ _SECOND = [j - 1 for _, j in PAIRS]
 
 
 def check_angle(phi: float) -> float:
-    """Validate ``phi`` in [0, pi/2] radians and return it as a float."""
+    """Validate ``phi`` in [0, pi/2] radians and return it as a float; a
+    signed zero gives ``+0.0``, so ``-0.0`` reports exactly as ``0`` does."""
     phi = _real(phi, "angle")
     if phi < PHI_MIN or phi > PHI_MAX:
         raise ValueError(f"angle {phi} outside [0, pi/2]")
-    return phi
+    return 0.0 if phi == 0 else phi
 
 
 def angle_terms(phis):

@@ -24,6 +24,7 @@ import numpy as np
 
 # Dimensions admitted for any vector or operator handled here.
 ADMITTED_DIMS = (1, 2, 4, 8)
+_ADMITTED_LENGTHS = frozenset(ADMITTED_DIMS)  # the same, for one-call shape checks
 
 # Validation tolerance for caller-supplied data; self-consistency checks
 # elsewhere use the tighter 1e-12.
@@ -33,6 +34,7 @@ KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 
 _REAL_KINDS = "iuf"  # NumPy dtype kinds of real numbers: int, unsigned int, float
+_NUMBER_KINDS = _REAL_KINDS + "c"  # and complex
 
 
 def _real(value, name: str) -> float:
@@ -64,16 +66,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     strings, NaN and Inf entries are rejected.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in _REAL_KINDS + "c":
+    if arr.dtype.kind not in _NUMBER_KINDS:
         raise ValueError(f"{name} must hold numbers, got dtype {arr.dtype}")
     arr = arr.astype(complex, copy=False)
     if arr.ndim not in (1, 2):
         raise ValueError(f"{name} must be 1-d or 2-d, got ndim={arr.ndim}")
-    for length in arr.shape:
-        if length not in ADMITTED_DIMS:
-            raise ValueError(
-                f"{name} has axis length {length}; admitted lengths are {ADMITTED_DIMS}"
-            )
+    if not _ADMITTED_LENGTHS.issuperset(arr.shape):
+        length = next(n for n in arr.shape if n not in _ADMITTED_LENGTHS)
+        raise ValueError(f"{name} has axis length {length}; admitted lengths are {ADMITTED_DIMS}")
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
@@ -114,10 +114,11 @@ def tensor(a, b) -> np.ndarray:
     b = as_matrix(b, "tensor operand b")
     if a.ndim != b.ndim:
         raise ValueError("tensor operands must both be vectors or both matrices")
-    shape = [la * lb for la, lb in zip(a.shape, b.shape)]
-    for length in shape:
-        if length not in ADMITTED_DIMS:
-            raise ValueError(f"tensor product axis length {length} not in {ADMITTED_DIMS}")
+    rows = len(a) * len(b)
+    shape = (rows,) if a.ndim == 1 else (rows, a.shape[1] * b.shape[1])
+    if not _ADMITTED_LENGTHS.issuperset(shape):
+        length = next(n for n in shape if n not in _ADMITTED_LENGTHS)
+        raise ValueError(f"tensor product axis length {length} not in {ADMITTED_DIMS}")
     # axes (a rows, b rows[, a cols, b cols])
     product = a[:, None] * b if a.ndim == 1 else a[:, None, :, None] * b[:, None]
     return product.reshape(shape)

@@ -65,12 +65,10 @@ def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> 
         coeffs = ClonerCoefficients(*coeffs)
 
     states, bloch = family([phi])
-    bloch.setflags(write=False)
     inputs = np.concatenate([states, _PROBES[None]], axis=1)  # (1, 6, 2)
     copies = clone_batch(build_isometry(coeffs)[None], inputs)
-    fidelities = copies.fidelities[0, :4]
-    x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:])
-    simulated_eta = (float(x_probe[0]), float(z_probe[2]))
+    # every figure as a Python float, which formats faster than np.float64
+    x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:]).tolist()
 
     formula_fidelity = fidelity_closed_form(coeffs, phi)
     multiplier = recover_multiplier(coeffs, phi, fidelity=formula_fidelity)
@@ -79,12 +77,12 @@ def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> 
         phi=phi,
         coeffs=coeffs,
         used_closed_form_optimum=used_optimum,
-        input_bloch=tuple(bloch[0]),
-        simulated_fidelities=tuple(float(f) for f in fidelities),
+        input_bloch=tuple(map(tuple, bloch[0].tolist())),
+        simulated_fidelities=tuple(copies.fidelities[0, :4].tolist()),
         formula_fidelity=formula_fidelity,
         best_possible_fidelity=best_fidelity,
         formula_eta=shrinking_factors(coeffs),
-        simulated_eta=simulated_eta,
+        simulated_eta=(x_probe[0], z_probe[2]),
         residuals=lagrange_residual(coeffs, multiplier, phi),
         multiplier=multiplier,
     )

@@ -148,6 +148,13 @@ MUTATIONS = [
         id="C8-clone_batch-copy1",
     ),
     pytest.param(
+        # each copy transposed: the y axis of the channel flips, and only
+        # complex inputs can show it
+        cloner, "clone_batch", lambda out, *_: out._replace(copy1=out.copy1.conj(), copy2=out.copy2.conj()),
+        ["channel Bloch contraction map"],
+        id="C6-clone_batch-conjugated-copies",
+    ),
+    pytest.param(
         cloner, "fidelity_general", lambda out, *_: out * (1 + EPS),
         ["general formula at maximal overlaps"],
         id="C9-fidelity_general",

@@ -48,6 +48,17 @@ def test_angle_bounds():
         make_ensemble(-0.01)
 
 
+@pytest.mark.parametrize("zero", [-0.0, np.float64(-0.0), np.array(-0.0)], ids=["float", "float64", "0-d"])
+def test_signed_zero_angle_is_positive_zero(zero):
+    # as ClonerCoefficients does for a coefficient: -0.0 gives +0.0
+    assert math.copysign(1.0, check_angle(zero)) == 1.0
+    ensemble = make_ensemble(zero)
+    assert math.copysign(1.0, ensemble.phi) == 1.0
+    expected = make_ensemble(0.0)
+    for got, want in zip(ensemble.bloch + ensemble.states, expected.bloch + expected.states):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_phi_zero_pairs_collapse():
     ens = make_ensemble(0.0)
     assert ens.degenerate

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from pairclone.linalg import (
     KET_0,
     KET_1,
     _norm,
+    as_matrix,
     bloch_from_density,
     bloch_vectors,
     density_from_bloch,
@@ -106,6 +109,48 @@ class TestTensor:
         for not_numbers in (["1", "0"], [True, False]):
             with pytest.raises(ValueError, match="must hold numbers"):
                 tensor(not_numbers, [1, 0])
+
+
+ADMITTED = "(1, 2, 4, 8)"
+
+
+# Every rejection branch of the two gates, with its whole message.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_matrix(["1", "0"], "m"), "m must hold numbers, got dtype <U1"),
+        (lambda: as_matrix([True, False]), "matrix must hold numbers, got dtype bool"),
+        (lambda: tensor([True, False], KET_0), "tensor operand a must hold numbers, got dtype bool"),
+        (lambda: as_matrix(1.0, "m"), "m must be 1-d or 2-d, got ndim=0"),
+        (lambda: as_matrix(np.zeros((2, 2, 2)), "m"), "m must be 1-d or 2-d, got ndim=3"),
+        (lambda: as_matrix(np.zeros(3), "m"), f"m has axis length 3; admitted lengths are {ADMITTED}"),
+        (lambda: as_matrix(np.zeros(0), "m"), f"m has axis length 0; admitted lengths are {ADMITTED}"),
+        (lambda: as_matrix(np.zeros((3, 2)), "m"), f"m has axis length 3; admitted lengths are {ADMITTED}"),
+        (lambda: as_matrix(np.zeros((2, 5)), "m"), f"m has axis length 5; admitted lengths are {ADMITTED}"),
+        (lambda: as_matrix(np.zeros((16, 5)), "m"), f"m has axis length 16; admitted lengths are {ADMITTED}"),
+        (lambda: tensor(KET_0, np.zeros(6)),
+         f"tensor operand b has axis length 6; admitted lengths are {ADMITTED}"),
+        (lambda: as_matrix([0.0, np.nan], "m"), "m contains NaN or Inf entries"),
+        (lambda: as_matrix([[1.0, 0.0], [0.0, -np.inf]], "m"), "m contains NaN or Inf entries"),
+        (lambda: tensor([np.inf, 0], KET_0), "tensor operand a contains NaN or Inf entries"),
+        (lambda: tensor(KET_0, [complex(0, np.nan), 1]), "tensor operand b contains NaN or Inf entries"),
+        (lambda: tensor(KET_0, IDENTITY_2), "tensor operands must both be vectors or both matrices"),
+        (lambda: tensor(IDENTITY_2, KET_0), "tensor operands must both be vectors or both matrices"),
+        (lambda: tensor(np.zeros(8), np.zeros(4)), f"tensor product axis length 32 not in {ADMITTED}"),
+        (lambda: tensor(np.zeros((8, 1)), np.zeros((2, 1))), f"tensor product axis length 16 not in {ADMITTED}"),
+        (lambda: tensor(np.zeros((1, 4)), np.zeros((1, 8))), f"tensor product axis length 32 not in {ADMITTED}"),
+        (lambda: tensor(np.eye(8), np.zeros((2, 4))), f"tensor product axis length 16 not in {ADMITTED}"),
+    ],
+    ids=[
+        "strings", "bools", "tensor-bools", "ndim-0", "ndim-3", "vector-length", "vector-empty",
+        "row-length", "column-length", "row-named-first", "tensor-operand-length", "nan", "inf",
+        "tensor-inf", "tensor-complex-nan", "vector-then-matrix", "matrix-then-vector",
+        "product-vector", "product-rows", "product-columns", "product-rows-named-first",
+    ],
+)
+def test_gate_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestPartialTrace:
