@@ -61,8 +61,8 @@ def test_criterion_1_bb84_point():
 
 
 def test_criterion_2_closed_form_equals_simulation(checks):
-    """On a 1000-point grid the simulated fidelities match the closed-form
-    optimum within 1e-12 and agree pairwise within 1e-12."""
+    """On a 1000-point grid the simulated fidelities of both copies match
+    the closed-form optimum within 1e-12 and agree pairwise within 1e-12."""
     formula = checks["simulation matches optimal fidelity"].deviation
     pairwise = checks["four fidelities equal"].deviation
     assert formula <= 1e-12, f"formula mismatch {formula:.3e}"
@@ -104,8 +104,8 @@ def test_criterion_5_stationarity(checks):
 
 def test_criterion_6_shrinking_identities(checks):
     """Shrinking factors satisfy their identities, take the value 1/sqrt(2)
-    at pi/4, and predict the simulated channel on 25 x 100 random x-z-plane
-    states, all within 1e-12."""
+    at pi/4, and predict all three Bloch components of both copies of
+    25 x 100 Haar-random complex states, all within 1e-12."""
     identities = checks["shrinking factor identities"].deviation
     reflection = checks["shrinking reflection symmetry"].deviation
     channel = checks["channel Bloch contraction map"].deviation

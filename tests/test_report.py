@@ -88,32 +88,26 @@ def test_closed_form_fidelity_evaluated_once(monkeypatch):
     assert report.multiplier == report.formula_fidelity - 0.5
 
 
-# SHA-256 of format_clone_report's text; the simulated digits come from
-# einsum, so CI runs this with NumPy's SIMD dispatch disabled too.
-REPORT_SHA256 = {
-    "0": "1f6c888ed6ab07a185b7150de283cc0d3a24d84c289d6e41162f9b0f9a1db1e9",
-    "pi/8": "f4f9fcaac31abe8cb3d70a2349289d2b0504abcbfbabcb3040424190f4117c93",
-    "pi/4": "93fb2a76ef4e90ab9d54c5e09aca0fb3abd5e57d02d194e57984b33e86ce8b33",
-    "0.7": "c616d6f3828a4f931e8524f02f31af76840ff1d78c18cd08945689f008d0627f",
-    "1e-9": "41bede6f19e2c27699c5902fcbb40c0ff45a7983df4b3569d6629d3a5a19daff",
-    "pi/2": "4d63e4d80012fda2f85529d12525eff5e7146e205fe683e287e3091192f2da6e",
-    "0.3 override": "d59b1a7f1462cd88615816f6a7eb68fd110f268c40af649e48051c3a35b15367",
-}
+# (angle, coefficient override, SHA-256 of format_clone_report's text); the
+# override lies on the surface a^2 + 2b^2 + c^2 = 1.  The simulated digits
+# come from einsum, so CI runs the digest test with NumPy's SIMD dispatch
+# disabled too.
 REPORT_CASES = {
-    "0": (0.0, None),
-    "pi/8": (math.pi / 8, None),
-    "pi/4": (math.pi / 4, None),
-    "0.7": (0.7, None),
-    "1e-9": (1e-9, None),
-    "pi/2": (math.pi / 2, None),
-    "0.3 override": (0.3, (0.6, 0.4, math.sqrt(0.32))),  # on the surface a^2 + 2b^2 + c^2 = 1
+    "0": (0.0, None, "1f6c888ed6ab07a185b7150de283cc0d3a24d84c289d6e41162f9b0f9a1db1e9"),
+    "pi/8": (math.pi / 8, None, "f4f9fcaac31abe8cb3d70a2349289d2b0504abcbfbabcb3040424190f4117c93"),
+    "pi/4": (math.pi / 4, None, "93fb2a76ef4e90ab9d54c5e09aca0fb3abd5e57d02d194e57984b33e86ce8b33"),
+    "0.7": (0.7, None, "c616d6f3828a4f931e8524f02f31af76840ff1d78c18cd08945689f008d0627f"),
+    "1e-9": (1e-9, None, "41bede6f19e2c27699c5902fcbb40c0ff45a7983df4b3569d6629d3a5a19daff"),
+    "pi/2": (math.pi / 2, None, "4d63e4d80012fda2f85529d12525eff5e7146e205fe683e287e3091192f2da6e"),
+    "0.3 override": (0.3, (0.6, 0.4, math.sqrt(0.32)),
+                     "d59b1a7f1462cd88615816f6a7eb68fd110f268c40af649e48051c3a35b15367"),
 }
 
 
-@pytest.mark.parametrize("case", REPORT_CASES)
-def test_report_text_digest(case):
-    text = format_clone_report(build_clone_report(*REPORT_CASES[case]))
-    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[case]
+@pytest.mark.parametrize("phi, coeffs, digest", REPORT_CASES.values(), ids=REPORT_CASES)
+def test_report_text_digest(phi, coeffs, digest):
+    text = format_clone_report(build_clone_report(phi, coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _leaves(value):
@@ -122,9 +116,9 @@ def _leaves(value):
     return [value]
 
 
-@pytest.mark.parametrize("case", REPORT_CASES)
-def test_report_holds_python_floats(case):
-    report = build_clone_report(*REPORT_CASES[case])
+@pytest.mark.parametrize("phi, coeffs, _", REPORT_CASES.values(), ids=REPORT_CASES)
+def test_report_holds_python_floats(phi, coeffs, _):
+    report = build_clone_report(phi, coeffs)
     for field in dataclasses.fields(report):
         if field.name != "used_closed_form_optimum":
             for value in _leaves(getattr(report, field.name)):
