@@ -43,7 +43,7 @@ DEFAULT_GRID_DENSITY = 256
 # first evaluates _REFINE_INTERVALS intervals per axis.
 _REFINE_TOLERANCE = 1e-12
 _REFINE_INTERVALS = 64
-_BATCH = 8  # searches per group; a group refines its searches in lockstep
+_BATCH = 13  # most searches per group; a group refines its searches in lockstep
 _DOMINANCE_MARGIN = 1e-12  # fixed by the proof in _first_round
 
 
@@ -236,23 +236,27 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     their angle-free terms are built by the first search at a grid density
     and reused by every later one at that density, until a search at
     another density replaces them (85 KB at 256 and 4.8 MB at 2048).
-    Groups of up to 8 searches run their first rounds one by one, then
-    their later rounds together, on plain arrays over the searches still
-    running: the incumbent (f, t, u), the t and u spacings and the last
-    three rounds' gains.  A round evaluates their windows as (m, 65, 65)
-    arrays, in work arrays allocated once per call (two of the kept nodes'
-    size, and 0.8 MB), then drops the searches that finished.  Every
-    search has the bits of a call at its angle.
+    N searches run in ceil(N / 13) groups whose sizes differ by at most
+    one, such as 13 + 12 for 25 angles.  A group runs its first rounds one
+    by one, then its later rounds together, on plain arrays over the
+    searches still running: the incumbent (f, t, u), the t and u spacings
+    and the last three rounds' gains.  A round evaluates their windows as
+    (m, 65, 65) arrays, in work arrays allocated once per call (two of the
+    kept nodes' size, and 0.1 MB per search of the largest group: 1.3 MB
+    at 13, 0.4 MB at 4), then drops the searches that finished.  Groups
+    share nothing but those work arrays, so every search has the bits of a
+    call at its angle.
     """
     single = np.ndim(phi) == 0
     sin2, cos2, _ = np.atleast_1d(*angle_terms(phi))
     grid_density = check_grid_density(grid_density)
     ts, kept, terms = _first_round(grid_density)
     half_pi, side = math.pi / 2, _REFINE_INTERVALS + 1
-    first, work = np.empty((2, len(kept))), np.empty((3, _BATCH, side, side))
+    # ceil(N / _BATCH) groups whose sizes differ by at most one, the largest first
+    groups = np.array_split(np.arange(len(sin2)), -(-len(sin2) // _BATCH) or 1)
+    first, work = np.empty((2, len(kept))), np.empty((3, len(groups[0]), side, side))
     reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c
-    for start in range(0, len(sin2), _BATCH):  # a group of searches, refined in lockstep
-        live = np.arange(start, min(start + _BATCH, len(sin2)))
+    for live in groups:  # a group of searches, refined in lockstep
         best = np.empty((3, len(live)))  # the incumbent (f, t, u) of each search
         for k, i in enumerate(live):
             ff = _objective(terms, cos2[i], sin2[i], first)
@@ -261,7 +265,9 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
             best[:, k] = ff[node], ts[row], ts[col]
         spacing = np.full((2, len(live)), half_pi / grid_density)  # of the last grid's t and u axes
         gains = np.full((3, len(live)), math.inf)  # of the last three rounds, at [round % 3]
-        for rounds in itertools.count(2):
+        rounds = 1
+        while len(live):  # one round of the searches still running
+            rounds += 1
             # the window: +-4 spacings of the last grid around the incumbent
             reach = 4 * spacing
             lo, hi = np.maximum(best[1:] - reach, 0.0), np.minimum(best[1:] + reach, half_pi)
@@ -283,14 +289,11 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
             # (the Hessian norm is at most 2).  The window is 64 spacings wide.
             h, achieved = spacing.max(axis=0), gains.max(axis=0)
             done = (achieved < _REFINE_TOLERANCE) & (h**2 < _REFINE_TOLERANCE) | (h * _REFINE_INTERVALS < 1e-11)
-            if not done.any():
-                continue
-            for i, f, t, u, g in zip(live[done], *best[:, done], achieved[done]):
-                a, b, c = math.sin(t) * math.cos(u), math.cos(t) * _SQRT_HALF, math.sin(t) * math.sin(u)
-                reports[i] = f, g, rounds, a, b, c
-            live, best, spacing, gains = live[~done], best[:, ~done], spacing[:, ~done], gains[:, ~done]
-            if not len(live):
-                break
+            if done.any():
+                for i, f, t, u, g in zip(live[done], *best[:, done], achieved[done]):
+                    a, b, c = math.sin(t) * math.cos(u), math.cos(t) * _SQRT_HALF, math.sin(t) * math.sin(u)
+                    reports[i] = f, g, rounds, a, b, c
+                live, best, spacing, gains = live[~done], best[:, ~done], spacing[:, ~done], gains[:, ~done]
 
     evaluations = len(sin2) * (grid_density + 1) ** 2 + int((reports[:, 2] - 1).sum()) * side**2
     if single:

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,18 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def ptrace_by_sorted_axes(rho, dims, keep):
+    """Bit reference: the earlier partial trace, np.trace over the other
+    subsystems in descending order, each time dropping one from a list."""
+    work = rho.reshape(tuple(dims) + tuple(dims))
+    remaining = list(dims)
+    for axis in sorted((k for k in range(len(dims)) if k != keep), reverse=True):
+        work = np.trace(work, axis1=axis, axis2=axis + len(remaining))
+        del remaining[axis]
+    d = dims[keep]
+    return work.reshape(d, d)
 
 
 def ptrace_by_index_summation(rho, dims, keep):
@@ -178,6 +192,16 @@ class TestPartialTrace:
             assert np.abs(fast - slow).max() <= SELF_TOL
             assert abs(np.trace(fast) - 1.0) <= SELF_TOL
 
+    @pytest.mark.parametrize("dims", [[2, 2, 2], [2, 4], [4, 2], [2, 1, 4], [1, 8], [8, 1]], ids=str)
+    def test_bits_equal_the_sorted_axes_trace(self, dims):
+        rng = np.random.default_rng(20261020)
+        n = math.prod(dims)
+        for _ in range(50):
+            rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for keep in range(len(dims)):
+                fast, slow = partial_trace(rho, dims, keep), ptrace_by_sorted_axes(rho, dims, keep)
+                assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes(), keep
+
     def test_trace_preserved_on_unnormalised_input(self):
         rng = np.random.default_rng(12)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -245,15 +269,28 @@ class TestBlochMaps:
 
     def test_norm_bits_equal_numpy_linalg_norm(self):
         # real 3-vectors as density_from_bloch passes them (a list of floats),
-        # complex 2-vectors as _unit_ket does, over magnitudes whose squares stay finite
+        # complex 2-vectors as _unit_ket does.  Norms far below _norm's 1e150
+        # entry gate, on both sides of it and up to 1.3e154 have finite squares
+        # and numpy's bits, and the entry 1.3e154 on an axis too; from 1.35e154
+        # the square overflows and the norm is math.hypot's.  None warns.
         rng = np.random.default_rng(20261026)
-        scales = 10.0 ** rng.uniform(-160, 150, size=(2000, 1))
-        reals = rng.normal(size=(2000, 3)) * scales
-        kets = (rng.normal(size=(2000, 2)) + 1j * rng.normal(size=(2000, 2))) * scales
-        for m, ket in zip(reals, kets):
-            assert _norm(m.tolist()) == np.linalg.norm(m), m
-            assert _norm(m) == np.linalg.norm(m), m
-            assert _norm(ket) == np.linalg.norm(ket), ket
+        exponents = [rng.uniform(-160, 150, 2000), rng.uniform(149.5, 150.5, 1000),
+                     rng.uniform(150.5, math.log10(1.3e154), 1000), rng.uniform(math.log10(1.35e154), 307, 1000)]
+        norms = 10.0 ** np.concatenate(exponents)
+        reals = rng.normal(size=(len(norms), 3))
+        kets = rng.normal(size=(len(norms), 2)) + 1j * rng.normal(size=(len(norms), 2))
+        reals = np.vstack([reals * (norms / np.linalg.norm(reals, axis=1))[:, None], [[1.3e154, 0, 0], [0, 0, -1.3e154]]])
+        kets = np.vstack([kets * (norms / np.linalg.norm(kets, axis=1))[:, None], [[1.3e154j, 0], [0, 1.3e154]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, ket, norm in zip(reals, kets, [*norms, 1.3e154, 1.3e154]):
+                if norm < 1.34e154:
+                    assert _norm(m.tolist()) == np.linalg.norm(m), m
+                    assert _norm(m) == np.linalg.norm(m), m
+                    assert _norm(ket) == np.linalg.norm(ket), ket
+                else:
+                    assert _norm(m.tolist()) == math.hypot(*m), m
+                    assert _norm(ket) == math.hypot(*ket.real, *ket.imag), ket
 
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())
