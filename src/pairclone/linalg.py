@@ -89,7 +89,7 @@ def _norm(vector) -> float:
     ``math.hypot``, which squares nothing and so never warns."""
     x = np.asarray(vector)
     # Below 1e150 in every entry no square, nor a sum of eight, can overflow, so only
-    # larger entries pay for the errstate (about 1.4 us, twice the rest of the call).
+    # larger entries pay for entering the errstate, about 1.4 us a call.
     if max(map(abs, x.tolist())) < 1e150:
         square = _squared_norm(x)
     else:

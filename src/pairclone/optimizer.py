@@ -253,6 +253,7 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     ts, kept, terms = _first_round(grid_density)
     half_pi, side = math.pi / 2, _REFINE_INTERVALS + 1
     # ceil(N / _BATCH) groups whose sizes differ by at most one, the largest first
+    # (one empty group for no angles)
     groups = np.array_split(np.arange(len(sin2)), -(-len(sin2) // _BATCH) or 1)
     first, work = np.empty((2, len(kept))), np.empty((3, len(groups[0]), side, side))
     reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c

@@ -279,8 +279,10 @@ class TestBlochMaps:
         norms = 10.0 ** np.concatenate(exponents)
         reals = rng.normal(size=(len(norms), 3))
         kets = rng.normal(size=(len(norms), 2)) + 1j * rng.normal(size=(len(norms), 2))
-        reals = np.vstack([reals * (norms / np.linalg.norm(reals, axis=1))[:, None], [[1.3e154, 0, 0], [0, 0, -1.3e154]]])
-        kets = np.vstack([kets * (norms / np.linalg.norm(kets, axis=1))[:, None], [[1.3e154j, 0], [0, 1.3e154]]])
+        reals *= (norms / np.linalg.norm(reals, axis=1))[:, None]
+        kets *= (norms / np.linalg.norm(kets, axis=1))[:, None]
+        reals = np.vstack([reals, [[1.3e154, 0, 0], [0, 0, -1.3e154]]])
+        kets = np.vstack([kets, [[1.3e154j, 0], [0, 1.3e154]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m, ket, norm in zip(reals, kets, [*norms, 1.3e154, 1.3e154]):

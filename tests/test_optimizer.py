@@ -647,8 +647,8 @@ def _decimal_optimum(angles: str) -> tuple:
 
 
 # c = 0.5 (1 - eta_z) subtracts two numbers near 1 as phi -> 0, so its
-# relative error grows as 1/phi^4: about 2e-9 at phi = 1e-2 and 1 below
-# 1e-4.  At the seeded angles it fails too, up to about phi = 0.8.
+# relative error grows as 1/phi^4: about 2e-8 at phi = 1e-2 and 1 from
+# 1e-4 down.  At the seeded angles it fails too, up to about phi = 0.63.
 _C_CANCELS = pytest.mark.xfail(
     strict=True, reason="c = 0.5 (1 - eta_z) cancels as eta_z -> 1 at small phi"
 )
@@ -663,6 +663,7 @@ def test_optimum_matches_a_decimal_reference(column, angles):
     closed form evaluated in ``decimal`` with sin and cos by Taylor series."""
     k = OPTIMUM_COLUMNS.index(column)
     values = optimizer.optimum(DECIMAL_ANGLES[angles])[k].tolist()
-    errors = [abs((decimal.Decimal(value) - exact) / exact) for value, exact in zip(values, _decimal_optimum(angles)[k])]
+    exacts = _decimal_optimum(angles)[k]
+    errors = [abs((decimal.Decimal(value) - exact) / exact) for value, exact in zip(values, exacts)]
     worst = max(range(len(errors)), key=errors.__getitem__)
     assert errors[worst] <= DECIMAL_RTOL, (DECIMAL_ANGLES[angles][worst], float(errors[worst]))
