@@ -89,8 +89,13 @@ def _norm(vector) -> float:
     ``math.hypot``, which squares nothing and so never warns."""
     x = np.asarray(vector)
     # Below 1e150 in every entry no square, nor a sum of eight, can overflow, so only
-    # larger entries pay for entering the errstate, about 1.4 us a call.
-    if max(map(abs, x.tolist())) < 1e150:
+    # larger entries pay for entering the errstate, about 1.4 us a call.  A finite
+    # complex entry whose modulus passes the largest float overflows abs itself.
+    try:
+        small = max(map(abs, x.tolist())) < 1e150
+    except OverflowError:
+        small = False
+    if small:
         square = _squared_norm(x)
     else:
         with np.errstate(over="ignore"):

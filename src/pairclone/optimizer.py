@@ -237,7 +237,7 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     and reused by every later one at that density, until a search at
     another density replaces them (85 KB at 256 and 4.8 MB at 2048).
     N searches run in ceil(N / 13) groups whose sizes differ by at most
-    one, such as 13 + 12 for 25 angles.  A group runs its first rounds one
+    one, such as 12 + 13 for 25 angles.  A group runs its first rounds one
     by one, then its later rounds together, on plain arrays over the
     searches still running: the incumbent (f, t, u), the t and u spacings
     and the last three rounds' gains.  A round evaluates their windows as
@@ -252,12 +252,13 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
     grid_density = check_grid_density(grid_density)
     ts, kept, terms = _first_round(grid_density)
     half_pi, side = math.pi / 2, _REFINE_INTERVALS + 1
-    # ceil(N / _BATCH) groups whose sizes differ by at most one, the largest first
-    # (one empty group for no angles)
-    groups = np.array_split(np.arange(len(sin2)), -(-len(sin2) // _BATCH) or 1)
-    first, work = np.empty((2, len(kept))), np.empty((3, len(groups[0]), side, side))
-    reports = np.empty((len(sin2), 6))  # per search: best_f, achieved, rounds, a, b, c
-    for live in groups:  # a group of searches, refined in lockstep
+    # ceil(N / _BATCH) groups whose sizes differ by at most one
+    total = len(sin2)
+    groups = -(-total // _BATCH)
+    first, work = np.empty((2, len(kept))), np.empty((3, -(-total // max(groups, 1)), side, side))
+    reports = np.empty((total, 6))  # per search: best_f, achieved, rounds, a, b, c
+    for j in range(groups):  # a group of searches, refined in lockstep
+        live = np.arange(total * j // groups, total * (j + 1) // groups)
         best = np.empty((3, len(live)))  # the incumbent (f, t, u) of each search
         for k, i in enumerate(live):
             ff = _objective(terms, cos2[i], sin2[i], first)
@@ -266,9 +267,7 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
             best[:, k] = ff[node], ts[row], ts[col]
         spacing = np.full((2, len(live)), half_pi / grid_density)  # of the last grid's t and u axes
         gains = np.full((3, len(live)), math.inf)  # of the last three rounds, at [round % 3]
-        rounds = 1
-        while len(live):  # one round of the searches still running
-            rounds += 1
+        for rounds in itertools.count(2):
             # the window: +-4 spacings of the last grid around the incumbent
             reach = 4 * spacing
             lo, hi = np.maximum(best[1:] - reach, 0.0), np.minimum(best[1:] + reach, half_pi)
@@ -290,11 +289,14 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
             # (the Hessian norm is at most 2).  The window is 64 spacings wide.
             h, achieved = spacing.max(axis=0), gains.max(axis=0)
             done = (achieved < _REFINE_TOLERANCE) & (h**2 < _REFINE_TOLERANCE) | (h * _REFINE_INTERVALS < 1e-11)
-            if done.any():
-                for i, f, t, u, g in zip(live[done], *best[:, done], achieved[done]):
-                    a, b, c = math.sin(t) * math.cos(u), math.cos(t) * _SQRT_HALF, math.sin(t) * math.sin(u)
-                    reports[i] = f, g, rounds, a, b, c
-                live, best, spacing, gains = live[~done], best[:, ~done], spacing[:, ~done], gains[:, ~done]
+            if not done.any():
+                continue
+            for i, f, t, u, g in zip(live[done], *best[:, done], achieved[done]):
+                a, b, c = math.sin(t) * math.cos(u), math.cos(t) * _SQRT_HALF, math.sin(t) * math.sin(u)
+                reports[i] = f, g, rounds, a, b, c
+            live, best, spacing, gains = live[~done], best[:, ~done], spacing[:, ~done], gains[:, ~done]
+            if not len(live):
+                break
 
     evaluations = len(sin2) * (grid_density + 1) ** 2 + int((reports[:, 2] - 1).sum()) * side**2
     if single:

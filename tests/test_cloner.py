@@ -112,8 +112,9 @@ class TestIsometry:
             build_isometry(optimal_coefficients(0.7), same)
 
     def test_ancilla_norm_validated(self):
-        # 1e200: the squared norm overflows, yet the gate still names the norm
-        for anc_a0 in ([2.0, 0.0], [1e200, 0.0]):
+        # 1e200: the squared norm overflows, yet the gate still names the norm;
+        # 1.3e308 + 1.3e308j: finite, with a modulus beyond the largest float
+        for anc_a0 in ([2.0, 0.0], [1e200, 0.0], [1.3e308 + 1.3e308j, 0.0]):
             with pytest.raises(ValueError, match="norm"):
                 AncillaAssignment(
                     anc_a0=np.array(anc_a0), anc_b0=KET_1, anc_c0=KET_0,
@@ -135,7 +136,8 @@ class TestApplyAndReduce:
 
     def test_non_unit_input_rejected(self):
         v = build_isometry(CLASSICAL)
-        for psi in ([1.0, 1.0], [1e200, 0.0]):  # 1e200: the squared norm overflows
+        # 1e200: the squared norm overflows; 1.3e308 + 1.3e308j: so does the modulus
+        for psi in ([1.0, 1.0], [1e200, 0.0], [1.3e308 + 1.3e308j, 0.0]):
             with pytest.raises(ValueError, match="norm"):
                 apply_cloner(v, np.array(psi))
 

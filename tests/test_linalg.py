@@ -293,6 +293,8 @@ class TestBlochMaps:
                 else:
                     assert _norm(m.tolist()) == math.hypot(*m), m
                     assert _norm(ket) == math.hypot(*ket.real, *ket.imag), ket
+            # a finite complex entry whose modulus overflows abs: the norm is inf
+            assert _norm(np.array([1.3e308 + 1.3e308j, 0])) == math.inf
 
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())

@@ -621,8 +621,10 @@ def _decimal_sin(x):
 
 
 OPTIMUM_COLUMNS = ("F", "eta_x", "eta_z", "a", "b", "c")
-DECIMAL_ANGLES = {
-    "seeded": np.random.default_rng(20261020).uniform(0.0, math.pi / 2, 200),
+_SEEDED = np.random.default_rng(20261020).uniform(0.0, math.pi / 2, 200)
+DECIMAL_ANGLES = {  # the seeded angles split where the c column starts to hold
+    "seeded-below-0.7": _SEEDED[_SEEDED < 0.7],
+    "seeded-from-0.7": _SEEDED[_SEEDED >= 0.7],
     "small": np.geomspace(1e-8, 1e-2, 61),
 }
 # Each column is a chain of about a dozen float64 roundings of at most half
@@ -648,15 +650,20 @@ def _decimal_optimum(angles: str) -> tuple:
 
 # c = 0.5 (1 - eta_z) subtracts two numbers near 1 as phi -> 0, so its
 # relative error grows as 1/phi^4: about 2e-8 at phi = 1e-2 and 1 from
-# 1e-4 down.  At the seeded angles it fails too, up to about phi = 0.63.
+# 1e-4 down.  At the seeded angles it fails up to about phi = 0.56 and
+# holds within 3.5 epsilons from 0.7 on, where it is asserted.
 _C_CANCELS = pytest.mark.xfail(
     strict=True, reason="c = 0.5 (1 - eta_z) cancels as eta_z -> 1 at small phi"
 )
 
 
-@pytest.mark.parametrize("angles", list(DECIMAL_ANGLES))
 @pytest.mark.parametrize(
-    "column", [*OPTIMUM_COLUMNS[:-1], pytest.param("c", marks=_C_CANCELS)]
+    "column, angles",
+    [
+        pytest.param(column, angles, marks=_C_CANCELS if column == "c" and angles != "seeded-from-0.7" else ())
+        for angles in DECIMAL_ANGLES
+        for column in OPTIMUM_COLUMNS
+    ],
 )
 def test_optimum_matches_a_decimal_reference(column, angles):
     """Each column of ``optimum`` within DECIMAL_RTOL, relative, of the
