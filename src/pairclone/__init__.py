@@ -9,7 +9,6 @@ simulation and an independent grid-search maximiser.
 
 from .checks import CheckResult, run_checks
 from .cloner import (
-    AncillaAssignment,
     ClonerCoefficients,
     UnitarityError,
     apply_cloner,
@@ -41,7 +40,6 @@ from .report import CloneReport, build_clone_report, format_clone_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AncillaAssignment",
     "CheckResult",
     "CloneReport",
     "ClonerCoefficients",

@@ -7,6 +7,9 @@ and is fully determined by its action on the input basis:
     |1> |0> |X>  ->  a |11>|anc_a1> + b (|10> + |01>) |anc_b1> + c |00>|anc_c1>
 
 with real coefficients a, b, c >= 0 constrained by a^2 + 2b^2 + c^2 = 1.
+The isometry is built for one ancilla assignment only, the overlap-maximising
+(anc_a0, anc_b0, anc_c0) = (|0>, |1>, |0>) and (anc_a1, anc_b1, anc_c1) =
+(|1>, |0>, |1>); :func:`fidelity_general` gives the copy fidelity of others.
 Sharing coefficients between the two columns makes the machine invariant
 under relabelling |0> <-> |1>, which is what forces the four input states
 of :mod:`pairclone.ensemble` to be cloned equally well.  Only the 8x2
@@ -39,12 +42,8 @@ from .linalg import (
 )
 
 
-_IDENTITY_2 = np.eye(2)  # the Gram matrix of orthonormal columns
-_IDENTITY_2.setflags(write=False)
-
-
 class UnitarityError(ValueError):
-    """Coefficients or ancilla choices incompatible with a norm-preserving map."""
+    """Coefficients incompatible with a norm-preserving map."""
 
 
 def constraint_defect(a, b, c):
@@ -85,60 +84,32 @@ class ClonerCoefficients:
         return iter((self.a, self.b, self.c))
 
 
-@dataclass(frozen=True)
-class AncillaAssignment:
-    """The six ancilla kets attached to the cloner's six terms.
-
-    ``anc_a0`` is the ancilla state multiplying the a-term of the input-0
-    column, and so on.  All six must have norm 1 within 1e-12.
-    """
-
-    anc_a0: np.ndarray
-    anc_b0: np.ndarray
-    anc_c0: np.ndarray
-    anc_a1: np.ndarray
-    anc_b1: np.ndarray
-    anc_c1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("anc_a0", "anc_b0", "anc_c0", "anc_a1", "anc_b1", "anc_c1"):
-            ket = _unit_ket(getattr(self, name), name, atol=1e-12)
-            ket.setflags(write=False)
-            object.__setattr__(self, name, ket)
-
-    @classmethod
-    def default(cls) -> "AncillaAssignment":
-        """The overlap-maximising choice: (|0>, |1>, |0>) for the input-0
-        column and (|1>, |0>, |1>) for the input-1 column."""
-        return cls(
-            anc_a0=KET_0.copy(),
-            anc_b0=KET_1.copy(),
-            anc_c0=KET_0.copy(),
-            anc_a1=KET_1.copy(),
-            anc_b1=KET_0.copy(),
-            anc_c1=KET_1.copy(),
-        )
+def _coefficients(coeffs) -> ClonerCoefficients:
+    """``coeffs`` as is if it is a :class:`ClonerCoefficients`, else validated
+    into one from exactly three numbers a, b, c."""
+    if isinstance(coeffs, ClonerCoefficients):
+        return coeffs
+    try:
+        values = tuple(coeffs)
+    except TypeError:
+        values = None
+    if values is None or len(values) != 3:
+        got = type(coeffs).__name__ if values is None else f"{len(values)} values"
+        raise ValueError(f"coefficients must be three numbers a, b, c, got {got}")
+    return ClonerCoefficients(*values)
 
 
-def build_isometry(
-    coeffs: ClonerCoefficients, ancilla: AncillaAssignment | None = None
-) -> np.ndarray:
+def build_isometry(coeffs) -> np.ndarray:
     """Assemble the 8x2 cloning isometry for the given coefficients.
 
-    Column 0 is the image of input |0>, column 1 of input |1>.  The
-    columns must come out orthonormal (that is the unitarity constraint
-    restricted to the used subspace); a deviation beyond 1e-9, which can
-    happen for non-default ancilla assignments, raises
-    :class:`UnitarityError`.
+    Column 0 is the image of input |0>, column 1 of input |1>.  ``coeffs``
+    is a :class:`ClonerCoefficients` or three numbers validated into one, and
+    its 1e-9 constraint is the one unitarity gate: the two columns have the
+    disjoint supports {0, 3, 5, 6} and {1, 2, 4, 7}, so they are exactly
+    orthogonal, and each has squared norm a^2 + 2b^2 + c^2.
     """
-    isometry = np.ascontiguousarray(isometry_batch([tuple(coeffs)], ancilla)[0])
-    gram_defect = float(np.abs(isometry.conj().T @ isometry - _IDENTITY_2).max())
-    if gram_defect > ATOL_INPUT:
-        raise UnitarityError(
-            f"columns are not orthonormal (defect {gram_defect:.3e}); "
-            "this ancilla assignment does not extend to a unitary"
-        )
-    return isometry
+    coeffs = _coefficients(coeffs)
+    return np.ascontiguousarray(isometry_batch([tuple(coeffs)])[0])
 
 
 def apply_cloner(isometry, psi) -> np.ndarray:
@@ -188,7 +159,8 @@ def fidelity_closed_form(coeffs, phi):
 
 
 def fidelity_general(coeffs, phi, overlaps):
-    """Copy fidelity for the ancilla-overlap sums re_ab = Re<anc_a0|anc_b1>
+    """Copy fidelity of the expansion in the module docstring with any six
+    ancilla kets, through their overlap sums re_ab = Re<anc_a0|anc_b1>
     + Re<anc_b0|anc_a1> and re_bc = Re<anc_b0|anc_c1> + Re<anc_c0|anc_b1>:
 
         F = a^2 (alpha^4 + beta^4) + 2 c^2 alpha^2 beta^2 + b^2
@@ -197,7 +169,9 @@ def fidelity_general(coeffs, phi, overlaps):
     with alpha = cos(phi/2), beta = sin(phi/2), so alpha^2 beta^2 =
     sin^2(phi) / 4 and alpha^4 + beta^4 = 1 - sin^2(phi) / 2.  It drops the
     within-column overlaps, so it covers only ancillas that are the default
-    assignment up to one common unitary and a phase on each ket.
+    assignment up to one common unitary and a phase on each ket.  The library
+    builds no isometry for such an ancilla; the tests check the formula
+    against :func:`clone_batch` on isometries of ``numpy.kron`` products.
     Coefficients are a :class:`ClonerCoefficients` or three (N,) arrays,
     overlaps two floats or two (N,) arrays, at one angle or an (N,) array
     of angles.  It validates the angles (:func:`ensemble.angle_terms`), not
@@ -235,33 +209,21 @@ def shrinking_factors(coeffs):
 # functions above, and callers pass arrays built from validated objects.
 # Only the eight shared term kets go through :func:`tensor`, once per call.
 
-# Immutable (frozen, read-only kets), so one instance serves every call.
-_DEFAULT_ANCILLA = AncillaAssignment.default()
-
-# The two-copy register ket of each term of each column, in the order
-# (a, b, b', c) of the module docstring.
-_REGISTERS = (
-    ((KET_0, KET_0), (KET_0, KET_1), (KET_1, KET_0), (KET_1, KET_1)),
-    ((KET_1, KET_1), (KET_1, KET_0), (KET_0, KET_1), (KET_0, KET_0)),
+# The (copy 1, copy 2, ancilla) factors of each term of each column, in the
+# order (a, b, b', c) of the module docstring.
+_TERM_FACTORS = (
+    ((KET_0, KET_0, KET_0), (KET_0, KET_1, KET_1), (KET_1, KET_0, KET_1), (KET_1, KET_1, KET_0)),
+    ((KET_1, KET_1, KET_1), (KET_1, KET_0, KET_0), (KET_0, KET_1, KET_0), (KET_0, KET_0, KET_1)),
 )
 
 
-def _term_kets(ancilla: AncillaAssignment) -> np.ndarray:
+def _term_kets() -> np.ndarray:
     """The 8-dimensional ket (copy 1) (x) (copy 2) (x) ancilla of each term
     of each column, shape (2, 4, 8): eight three-factor products."""
-    ancillas = (
-        (ancilla.anc_a0, ancilla.anc_b0, ancilla.anc_b0, ancilla.anc_c0),
-        (ancilla.anc_a1, ancilla.anc_b1, ancilla.anc_b1, ancilla.anc_c1),
-    )
-    return np.array(
-        [
-            [tensor(tensor(u, v), anc) for (u, v), anc in zip(registers, kets)]
-            for registers, kets in zip(_REGISTERS, ancillas)
-        ]
-    )
+    return np.array([[tensor(tensor(u, v), anc) for u, v, anc in column] for column in _TERM_FACTORS])
 
 
-def isometry_batch(coeffs, ancilla: AncillaAssignment | None = None) -> np.ndarray:
+def isometry_batch(coeffs) -> np.ndarray:
     """Isometries of shape (N, 8, 2) for coefficient rows (a, b, c) of
     shape (N, 3).
 
@@ -270,7 +232,7 @@ def isometry_batch(coeffs, ancilla: AncillaAssignment | None = None) -> np.ndarr
     built once per call, shared by all N rows, so every matrix is bit for
     bit the one nested ``numpy.kron`` products give.
     """
-    terms = _term_kets(_DEFAULT_ANCILLA if ancilla is None else ancilla)
+    terms = _term_kets()
     coeffs = np.asarray(coeffs, dtype=float)
     a, b, c = (coeffs[:, k, None, None] for k in range(3))
     columns = a * terms[:, 0] + b * (terms[:, 1] + terms[:, 2]) + c * terms[:, 3]

@@ -26,8 +26,8 @@ import numpy as np
 ADMITTED_DIMS = (1, 2, 4, 8)
 _ADMITTED_LENGTHS = frozenset(ADMITTED_DIMS)  # the same, for one-call shape checks
 
-# Validation tolerance for caller-supplied data; self-consistency checks
-# elsewhere use the tighter 1e-12.
+# Validation tolerance for caller-supplied data; the ``verify`` identities
+# are bounded at 1e-10 (``checks``).
 ATOL_INPUT = 1e-9
 
 KET_0 = np.array([1, 0], dtype=complex)
@@ -104,13 +104,13 @@ def _norm(vector) -> float:
     return norm if math.isfinite(norm) else math.hypot(*x.real, *x.imag)
 
 
-def _unit_ket(values, name: str, atol: float = ATOL_INPUT) -> np.ndarray:
-    """``values`` as a 2-dimensional ket of norm 1 within ``atol``."""
+def _unit_ket(values, name: str) -> np.ndarray:
+    """``values`` as a 2-dimensional ket of norm 1 within 1e-9."""
     ket = as_matrix(values, name)
     if ket.shape != (2,):
         raise ValueError(f"{name} must be a 2-dimensional ket, got shape {ket.shape}")
     norm = _norm(ket)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > ATOL_INPUT:
         raise ValueError(f"{name} has norm {norm}, expected 1")
     return ket
 

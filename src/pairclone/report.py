@@ -16,6 +16,7 @@ import numpy as np
 
 from .cloner import (
     ClonerCoefficients,
+    _coefficients,
     build_isometry,
     clone_batch,
     fidelity_closed_form,
@@ -59,10 +60,7 @@ def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> 
     phi = check_angle(phi)
     used_optimum = coeffs is None
     best_fidelity, _, _, *best = optimum(phi)
-    if coeffs is None:
-        coeffs = ClonerCoefficients(*best)
-    elif not isinstance(coeffs, ClonerCoefficients):
-        coeffs = ClonerCoefficients(*coeffs)
+    coeffs = ClonerCoefficients(*best) if coeffs is None else _coefficients(coeffs)
 
     states, bloch = family([phi])
     inputs = np.concatenate([states, _PROBES[None]], axis=1)  # (1, 6, 2)

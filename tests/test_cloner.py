@@ -4,23 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kron_reference import DEFAULT_ANCILLA, kron_isometry, overlap_sums, rotated_ancilla
 
 from pairclone.cloner import (
-    AncillaAssignment,
     ClonerCoefficients,
     UnitarityError,
     apply_cloner,
     build_isometry,
     clone_batch,
+    constraint_defect,
     copy_state,
     fidelity,
     fidelity_closed_form,
     fidelity_general,
+    isometry_batch,
     shrinking_factors,
 )
 from pairclone.ensemble import family, make_ensemble
 from pairclone.linalg import KET_0, KET_1, bloch_from_density, density_from_bloch, tensor
 from pairclone.optimizer import optimal_coefficients
+from pairclone.report import build_clone_report
 
 TOL = 1e-12
 
@@ -102,24 +105,32 @@ class TestIsometry:
         perm = [0, 1, 4, 5, 2, 3, 6, 7]
         assert np.abs(v[perm, :] - v).max() <= TOL
 
-    def test_bad_ancilla_rejected(self):
-        # all six ancilla kets equal makes the two columns overlap
-        same = AncillaAssignment(
-            anc_a0=KET_0, anc_b0=KET_0, anc_c0=KET_0,
-            anc_a1=KET_0, anc_b1=KET_0, anc_c1=KET_0,
-        )
-        with pytest.raises(UnitarityError, match="orthonormal"):
-            build_isometry(optimal_coefficients(0.7), same)
+    @pytest.mark.parametrize(
+        "build",
+        [build_isometry, lambda coeffs: build_clone_report(0.3, coeffs)],
+        ids=["build_isometry", "build_clone_report"],
+    )
+    @pytest.mark.parametrize("bad", [(0.6, 0.4), (0.6, 0.4, 0.1, 0.0), 0.5, np.array(0.5)], ids=repr)
+    def test_coefficients_must_be_three_numbers(self, build, bad):
+        with pytest.raises(ValueError, match="^coefficients must be three numbers a, b, c, got "):
+            build(bad)
 
-    def test_ancilla_norm_validated(self):
-        # 1e200: the squared norm overflows, yet the gate still names the norm;
-        # 1.3e308 + 1.3e308j: finite, with a modulus beyond the largest float
-        for anc_a0 in ([2.0, 0.0], [1e200, 0.0], [1.3e308 + 1.3e308j, 0.0]):
-            with pytest.raises(ValueError, match="norm"):
-                AncillaAssignment(
-                    anc_a0=np.array(anc_a0), anc_b0=KET_1, anc_c0=KET_0,
-                    anc_a1=KET_1, anc_b1=KET_0, anc_c1=KET_1,
-                )
+    def test_gram_bits_on_surface_draws(self):
+        # The columns have the disjoint supports {0, 3, 5, 6} and {1, 2, 4, 7},
+        # so the off-diagonal Gram entries are exactly 0 and each diagonal entry
+        # is a^2 + 2b^2 + c^2 up to roundoff: the 1e-9 constraint of
+        # ClonerCoefficients is the only unitarity gate build_isometry needs.
+        t, u = np.random.default_rng(25).uniform(0, math.pi / 2, size=(2, 20000))
+        a, b, c = np.sin(t) * np.cos(u), np.cos(t) / math.sqrt(2), np.sin(t) * np.sin(u)
+        coeffs = np.vstack([np.column_stack([a, b, c]), tuple(CLASSICAL)])
+        isometries = isometry_batch(coeffs)
+        gram = isometries.conj().transpose(0, 2, 1) @ isometries
+        assert np.all(gram[:, 0, 1] == 0) and np.all(gram[:, 1, 0] == 0)
+        expected = 1.0 + constraint_defect(*coeffs.T)
+        diagonal = gram[:, [0, 1], [0, 1]]
+        assert np.all(np.abs(diagonal - expected[:, None]) <= 4 * np.spacing(expected)[:, None])
+        with pytest.raises(UnitarityError, match="deviates from 1"):
+            build_isometry((1.0, 1.0, 1.0))
 
 
 class TestApplyAndReduce:
@@ -217,14 +228,6 @@ class TestClosedForm:
             fidelity_closed_form(CLASSICAL, -0.5)
 
 
-def overlap_sums(ancilla):
-    """The overlap sums (re_ab, re_bc) of an ancilla assignment, as
-    :func:`fidelity_general` defines them."""
-    re_ab = np.vdot(ancilla.anc_a0, ancilla.anc_b1).real + np.vdot(ancilla.anc_b0, ancilla.anc_a1).real
-    re_bc = np.vdot(ancilla.anc_b0, ancilla.anc_c1).real + np.vdot(ancilla.anc_c0, ancilla.anc_b1).real
-    return float(re_ab), float(re_bc)
-
-
 class TestGeneralFormula:
     def test_term_isolation_without_overlaps(self):
         cc = ClonerCoefficients(a=0.8, b=0.0, c=0.6)
@@ -244,38 +247,32 @@ class TestGeneralFormula:
             assert abs(fidelity_general(cc, phi, (2.0, 2.0)) - simulated) <= TOL
 
     def test_default_ancilla_realises_maximal_overlaps(self):
-        assert overlap_sums(AncillaAssignment.default()) == (2.0, 2.0)
+        assert overlap_sums(DEFAULT_ANCILLA) == (2.0, 2.0)
 
     def test_formula_misses_kernel_outside_its_domain(self):
         # a valid isometry whose within-column overlaps the formula drops:
         # the formula gives 0.849, the kernel 0.905 and 0.794
         x, phi = 0.4, 0.7
-        rotated = AncillaAssignment(
-            anc_a0=KET_0, anc_b0=np.array([math.sin(x), math.cos(x)]), anc_c0=KET_0,
-            anc_a1=KET_1, anc_b1=np.array([math.cos(x), -math.sin(x)]), anc_c1=KET_1,
+        rotated = (
+            KET_0, np.array([math.sin(x), math.cos(x)]), KET_0,
+            KET_1, np.array([math.cos(x), -math.sin(x)]), KET_1,
         )
         cc = optimal_coefficients(phi)
         states, _ = family([phi])
-        simulated = clone_batch(build_isometry(cc, rotated)[None], states).fidelities
+        simulated = clone_batch(kron_isometry(cc, rotated)[None], states).fidelities
         formula = fidelity_general(cc, phi, overlap_sums(rotated))
         assert np.abs(simulated - formula).min() > 0.05
 
     def test_formula_matches_kernel_on_its_domain(self):
         # the default assignment up to a common unitary and a phase per ket
         rng = np.random.default_rng(23)
-        default = AncillaAssignment.default()
-        names = ("anc_a0", "anc_b0", "anc_c0", "anc_a1", "anc_b1", "anc_c1")
         for _ in range(200):
             unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=6))
-            ancilla = AncillaAssignment(**{
-                name: phase * (unitary @ getattr(default, name))
-                for name, phase in zip(names, phases)
-            })
+            ancilla = rotated_ancilla(unitary, np.exp(1j * rng.uniform(0, 2 * math.pi, size=6)))
             cc = coeffs_from_surface_angles(*rng.uniform(0, math.pi / 2, 2))
             phi = float(rng.uniform(0, math.pi / 2))
             states, _ = family([phi])
-            simulated = clone_batch(build_isometry(cc, ancilla)[None], states).fidelities
+            simulated = clone_batch(kron_isometry(cc, ancilla)[None], states).fidelities
             formula = fidelity_general(cc, phi, overlap_sums(ancilla))
             assert np.abs(simulated - formula).max() <= TOL
 

@@ -1,20 +1,21 @@
 """The batch kernel against independent references.
 
-``build_isometry`` is compared bit for bit with a ``numpy.kron``
-construction written out here, and the kernel's reduced copies with the
+``build_isometry`` is compared bit for bit with the ``numpy.kron``
+construction of ``kron_reference``, and the kernel's reduced copies with the
 closed-form fidelity, with each other and with the 8x8 density-matrix
 route (``apply_cloner`` then ``copy_state``), on the real family and on
-random complex kets through isometries with a complex ancilla.
+random complex kets through ``kron_reference`` isometries with a complex
+ancilla.
 """
 
 import math
 
 import numpy as np
 import pytest
+from kron_reference import kron_isometry, rotated_ancilla
 
 from pairclone.checks import run_checks
 from pairclone.cloner import (
-    AncillaAssignment,
     ClonerCoefficients,
     apply_cloner,
     build_isometry,
@@ -27,7 +28,6 @@ from pairclone.cloner import (
 from pairclone.ensemble import family
 
 SEED = 20261017
-BASIS = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
 
 
 def _samples():
@@ -50,55 +50,11 @@ def _samples():
 PHIS, COEFFS = _samples()
 
 
-def kron_isometry(coeffs, ancilla):
-    """The 8x2 isometry term by term, as nested Kronecker products."""
-
-    def term(i0, i1, anc):
-        return np.kron(np.kron(BASIS[i0], BASIS[i1]), anc)
-
-    a, b, c = coeffs
-    col0 = (
-        a * term(0, 0, ancilla.anc_a0)
-        + b * (term(0, 1, ancilla.anc_b0) + term(1, 0, ancilla.anc_b0))
-        + c * term(1, 1, ancilla.anc_c0)
-    )
-    col1 = (
-        a * term(1, 1, ancilla.anc_a1)
-        + b * (term(1, 0, ancilla.anc_b1) + term(0, 1, ancilla.anc_b1))
-        + c * term(0, 0, ancilla.anc_c1)
-    )
-    return np.stack([col0, col1], axis=1)
-
-
-def phase_only_ancilla(rng):
-    """The default ancilla kets, each times a random phase."""
-    default = AncillaAssignment.default()
-    kets = (default.anc_a0, default.anc_b0, default.anc_c0,
-            default.anc_a1, default.anc_b1, default.anc_c1)
-    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
-    return AncillaAssignment(*(phase * ket for phase, ket in zip(phases, kets)))
-
-
-def rotated_ancilla(rng):
-    """The default ancilla kets under one random unitary, each times a
-    random phase: complex kets that still give an isometry."""
-    unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    default = AncillaAssignment.default()
-    kets = (default.anc_a0, default.anc_b0, default.anc_c0,
-            default.anc_a1, default.anc_b1, default.anc_c1)
-    phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
-    return AncillaAssignment(*(phase * (unitary @ ket) for phase, ket in zip(phases, kets)))
-
-
-@pytest.mark.parametrize("phase_only", [False, True])
-def test_build_isometry_matches_kron_reference_bit_for_bit(phase_only):
-    rng = np.random.default_rng(SEED + 1)
+def test_build_isometry_matches_kron_reference_bit_for_bit():
     for coeffs in COEFFS:
-        ancilla = phase_only_ancilla(rng) if phase_only else None
-        reference = kron_isometry(coeffs, ancilla or AncillaAssignment.default())
-        built = build_isometry(coeffs, ancilla)
+        built = build_isometry(coeffs)
         assert built.shape == (8, 2)
-        assert built.tobytes() == reference.tobytes()
+        assert built.tobytes() == kron_isometry(coeffs).tobytes()
 
 
 def test_kernel_copies_match_closed_form_and_each_other():
@@ -129,7 +85,12 @@ def test_kernel_matches_density_matrix_route_on_complex_data(shape):
     # the shapes, so swapped N and K axes fail too.
     n, k = shape
     rng = np.random.default_rng(SEED + 2)
-    isometries = np.stack([build_isometry(cc, rotated_ancilla(rng)) for cc in COEFFS[:n]])
+    isometries = []
+    for cc in COEFFS[:n]:
+        unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
+        isometries.append(kron_isometry(cc, rotated_ancilla(unitary, phases)))
+    isometries = np.stack(isometries)
     kets = rng.normal(size=(n, k, 2)) + 1j * rng.normal(size=(n, k, 2))
     kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
     copies = clone_batch(isometries, kets)
