@@ -40,8 +40,7 @@ _PI_LITERAL = re.compile(
 def parse_angle(text: str) -> float:
     """Parse a radian value, accepting ``pi``-fraction literals.
 
-    Examples: ``0.7853``, ``pi/4``, ``3pi/8``, ``0.5*pi``.  A signed zero
-    such as ``-0.0`` gives ``+0.0``, so it reports exactly as ``0`` does.
+    Examples: ``0.7853``, ``pi/4``, ``3pi/8``, ``0.5*pi``.
     """
     match = _PI_LITERAL.match(text)
     if match:
@@ -50,8 +49,7 @@ def parse_angle(text: str) -> float:
         if denom == 0:
             raise ValueError(f"zero denominator in angle {text!r}")
         return coef * math.pi / denom
-    value = float(text)
-    return 0.0 if value == 0 else value
+    return float(text)
 
 
 def _angle_argument(text: str) -> float:

@@ -84,19 +84,23 @@ class ClonerCoefficients:
         return iter((self.a, self.b, self.c))
 
 
+def _unpack(values, count: int = 3, rule: str = "coefficients must be three numbers a, b, c") -> tuple:
+    """The ``count`` entries of ``values``, by default coefficients a, b, c (numbers
+    or (N,) arrays, passed on unread), else ValueError "``rule``, got ..."."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        entries = None
+    if entries is None or len(entries) != count:
+        got = type(values).__name__ if entries is None else f"{len(entries)} values"
+        raise ValueError(f"{rule}, got {got}")
+    return entries
+
+
 def _coefficients(coeffs) -> ClonerCoefficients:
     """``coeffs`` as is if it is a :class:`ClonerCoefficients`, else validated
     into one from exactly three numbers a, b, c."""
-    if isinstance(coeffs, ClonerCoefficients):
-        return coeffs
-    try:
-        values = tuple(coeffs)
-    except TypeError:
-        values = None
-    if values is None or len(values) != 3:
-        got = type(coeffs).__name__ if values is None else f"{len(values)} values"
-        raise ValueError(f"coefficients must be three numbers a, b, c, got {got}")
-    return ClonerCoefficients(*values)
+    return coeffs if isinstance(coeffs, ClonerCoefficients) else ClonerCoefficients(*_unpack(coeffs))
 
 
 def build_isometry(coeffs) -> np.ndarray:
@@ -151,9 +155,9 @@ def fidelity_closed_form(coeffs, phi):
 
     for coefficients that are a :class:`ClonerCoefficients` or three (N,)
     arrays a, b, c, at one angle or an (N,) array of angles.  It validates
-    the angles (:func:`ensemble.angle_terms`), not the coefficients.
+    the angles (:func:`ensemble.angle_terms`) and that there are three coefficients.
     """
-    a, b, c = coeffs
+    a, b, c = _unpack(coeffs)
     sin2, cos2, _ = angle_terms(phi)
     return 0.5 + 0.5 * (a * a - c * c) * cos2 + b * (a + c) * sin2
 
@@ -174,12 +178,12 @@ def fidelity_general(coeffs, phi, overlaps):
     against :func:`clone_batch` on isometries of ``numpy.kron`` products.
     Coefficients are a :class:`ClonerCoefficients` or three (N,) arrays,
     overlaps two floats or two (N,) arrays, at one angle or an (N,) array
-    of angles.  It validates the angles (:func:`ensemble.angle_terms`), not
-    the coefficients or overlaps.  At the maximal overlaps (2.0, 2.0), those
-    of the default assignment, it coincides with :func:`fidelity_closed_form`.
+    of angles.  It validates the angles (:func:`ensemble.angle_terms`) and the
+    count of coefficients and overlaps.  At the maximal overlaps (2.0, 2.0),
+    those of the default assignment, it coincides with :func:`fidelity_closed_form`.
     """
-    a, b, c = coeffs
-    re_ab, re_bc = overlaps
+    a, b, c = _unpack(coeffs)
+    re_ab, re_bc = _unpack(overlaps, 2, "overlaps must be two numbers re_ab, re_bc")
     sin2, _, _ = angle_terms(phi)
     al2_be2 = 0.25 * sin2
     return (
@@ -193,13 +197,13 @@ def fidelity_general(coeffs, phi, overlaps):
 def shrinking_factors(coeffs):
     """Bloch-plane contraction factors (eta_x, eta_z) = (2b(a+c), a^2 - c^2)
     for coefficients that are a :class:`ClonerCoefficients` (two floats)
-    or three (N,) arrays a, b, c (two arrays); it validates nothing.
+    or three (N,) arrays a, b, c (two arrays); it checks only that there are three.
 
     For any x-z-plane input with Bloch vector (m_x, 0, m_z), each output
     copy has Bloch vector (eta_x m_x, 0, eta_z m_z); both factors refer to
     the default ancilla assignment.
     """
-    a, b, c = coeffs
+    a, b, c = _unpack(coeffs)
     return 2 * b * (a + c), a * a - c * c
 
 

@@ -13,6 +13,8 @@ an array (:func:`as_matrix`) one of ints, floats or complex numbers, and a
 unit ket (:func:`_unit_ket`) one of shape (2,) and norm 1 within 1e-9.  No
 gate takes a bool or a string; only :func:`as_matrix` takes complex values.
 :func:`density_from_bloch` reads each Bloch component through :func:`_real`.
+Both norm bounds take ``math.hypot``, which squares nothing: a norm past the
+largest float reads ``inf`` and is rejected, and nothing warns.
 """
 
 from __future__ import annotations
@@ -79,37 +81,12 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _squared_norm(x: np.ndarray):
-    """``np.linalg.norm``'s own dot products, so with its bits."""
-    return x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
-
-
-def _norm(vector) -> float:
-    """Euclidean norm by :func:`_squared_norm` wherever the squared norm is finite, else
-    ``math.hypot``, which squares nothing and so never warns."""
-    x = np.asarray(vector)
-    # Below 1e150 in every entry no square, nor a sum of eight, can overflow, so only
-    # larger entries pay for entering the errstate, about 1.4 us a call.  A finite
-    # complex entry whose modulus passes the largest float overflows abs itself.
-    try:
-        small = max(map(abs, x.tolist())) < 1e150
-    except OverflowError:
-        small = False
-    if small:
-        square = _squared_norm(x)
-    else:
-        with np.errstate(over="ignore"):
-            square = _squared_norm(x)
-    norm = math.sqrt(square)
-    return norm if math.isfinite(norm) else math.hypot(*x.real, *x.imag)
-
-
 def _unit_ket(values, name: str) -> np.ndarray:
     """``values`` as a 2-dimensional ket of norm 1 within 1e-9."""
     ket = as_matrix(values, name)
     if ket.shape != (2,):
         raise ValueError(f"{name} must be a 2-dimensional ket, got shape {ket.shape}")
-    norm = _norm(ket)
+    norm = math.hypot(*ket.real, *ket.imag)
     if abs(norm - 1.0) > ATOL_INPUT:
         raise ValueError(f"{name} has norm {norm}, expected 1")
     return ket
@@ -182,8 +159,8 @@ def density_from_bloch(m) -> np.ndarray:
     m = np.asarray(m)
     if m.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {m.shape}")
-    x, y, z = m = [_real(v, "Bloch vector component") for v in m]
-    norm = _norm(m)
+    x, y, z = [_real(v, "Bloch vector component") for v in m]
+    norm = math.hypot(x, y, z)
     if norm > 1.0 + ATOL_INPUT:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])

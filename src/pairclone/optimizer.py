@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import ClonerCoefficients, constraint_defect, fidelity_closed_form
+from .cloner import ClonerCoefficients, _unpack, constraint_defect, fidelity_closed_form
 from .ensemble import angle_terms
 from .linalg import _integer
 
@@ -104,9 +104,9 @@ def lagrange_residual(coeffs, multiplier, phi):
     maximisation, for coefficients that are a :class:`ClonerCoefficients`
     or three (N,) arrays a, b, c, with one multiplier and angle or an (N,)
     array of each.  All four vanish at the closed-form optimum with the
-    multiplier of :func:`recover_multiplier`.  It validates the angles,
-    not the coefficients."""
-    a, b, c = coeffs
+    multiplier of :func:`recover_multiplier`.  It validates the angles and
+    the count of coefficients, not their values."""
+    a, b, c = _unpack(coeffs)
     sin2, cos2, _ = angle_terms(phi)
     r1 = a * cos2 + b * sin2 - 2 * a * multiplier
     r2 = (a + c) * sin2 - 4 * b * multiplier
@@ -119,7 +119,8 @@ def recover_multiplier(coeffs, phi, *, fidelity=None):
     given, else :func:`~pairclone.cloner.fidelity_closed_form` of the same
     arguments (a float or an (N,) array).  On the constraint surface a r1 +
     b r2 + c r3 = 2 (F - 1/2) - 2 lambda, so this is the only lambda that
-    leaves the residual orthogonal to (a, b, c): lambda* at any stationary point."""
+    leaves the residual orthogonal to (a, b, c): lambda* at any stationary point.
+    ``coeffs`` is read, and checked, only when no ``fidelity`` is given."""
     return (fidelity_closed_form(coeffs, phi) if fidelity is None else fidelity) - 0.5
 
 

@@ -50,9 +50,6 @@ class TestAngleParsing:
         with pytest.raises(ValueError):
             parse_angle("two pi")
 
-    def test_signed_zero_is_positive(self):
-        assert math.copysign(1.0, parse_angle("-0.0")) == 1.0
-
 
 class TestSweep:
     def test_three_point_fidelity_column(self, capsys):
@@ -221,6 +218,16 @@ def test_bad_angle_is_usage_error_naming_its_argument(capsys, argv, name, text):
     assert out == ""
     assert "Traceback" not in err
     assert f"argument {name}:" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text", ["0.6,0.4", "0.6,0.4,0.1,0", "a,b,c"], ids=["two", "four", "not-numbers"])
+def test_malformed_coeffs_is_usage_error(capsys, text):
+    code, out, err = run_cli(capsys, "clone", "0.3", "--coeffs", text)
+    assert code == 2
+    assert out == ""
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: pairclone clone ")
+    assert message.startswith("pairclone clone: error: argument --coeffs: ")
 
 
 class TestVerify:

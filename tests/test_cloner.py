@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pairclone.cloner import (
 )
 from pairclone.ensemble import family, make_ensemble
 from pairclone.linalg import KET_0, KET_1, bloch_from_density, density_from_bloch, tensor
-from pairclone.optimizer import optimal_coefficients
+from pairclone.optimizer import lagrange_residual, optimal_coefficients, recover_multiplier
 from pairclone.report import build_clone_report
 
 TOL = 1e-12
@@ -107,13 +108,31 @@ class TestIsometry:
 
     @pytest.mark.parametrize(
         "build",
-        [build_isometry, lambda coeffs: build_clone_report(0.3, coeffs)],
-        ids=["build_isometry", "build_clone_report"],
+        [
+            build_isometry,
+            lambda coeffs: build_clone_report(0.3, coeffs),
+            lambda coeffs: fidelity_closed_form(coeffs, 0.3),
+            lambda coeffs: fidelity_general(coeffs, 0.3, (2.0, 2.0)),
+            shrinking_factors,
+            lambda coeffs: lagrange_residual(coeffs, 0.3, 0.3),
+            lambda coeffs: recover_multiplier(coeffs, 0.3),
+        ],
+        ids=["build_isometry", "build_clone_report", "fidelity_closed_form", "fidelity_general",
+             "shrinking_factors", "lagrange_residual", "recover_multiplier"],
     )
     @pytest.mark.parametrize("bad", [(0.6, 0.4), (0.6, 0.4, 0.1, 0.0), 0.5, np.array(0.5)], ids=repr)
     def test_coefficients_must_be_three_numbers(self, build, bad):
-        with pytest.raises(ValueError, match="^coefficients must be three numbers a, b, c, got "):
+        got = f"{len(bad)} values" if isinstance(bad, tuple) else type(bad).__name__
+        message = f"coefficients must be three numbers a, b, c, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(bad)
+
+    @pytest.mark.parametrize("bad", [(2.0,), (2.0, 2.0, 2.0), 2.0], ids=repr)
+    def test_overlaps_must_be_two_numbers(self, bad):
+        got = f"{len(bad)} values" if isinstance(bad, tuple) else type(bad).__name__
+        message = f"overlaps must be two numbers re_ab, re_bc, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fidelity_general(CLASSICAL, 0.3, bad)
 
     def test_gram_bits_on_surface_draws(self):
         # The columns have the disjoint supports {0, 3, 5, 6} and {1, 2, 4, 7},

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairclone.cloner import fidelity
 from pairclone.linalg import (
     KET_0,
     KET_1,
-    _norm,
     as_matrix,
     bloch_from_density,
     bloch_vectors,
@@ -267,12 +267,11 @@ class TestBlochMaps:
         with pytest.raises(ValueError):
             density_from_bloch(m)
 
-    def test_norm_bits_equal_numpy_linalg_norm(self):
-        # real 3-vectors as density_from_bloch passes them (a list of floats),
-        # complex 2-vectors as _unit_ket does.  Norms far below _norm's 1e150
-        # entry gate, on both sides of it and up to 1.3e154 have finite squares
-        # and numpy's bits, and the entry 1.3e154 on an axis too; from 1.35e154
-        # the square overflows and the norm is math.hypot's.  None warns.
+    def test_norm_gates_print_math_hypot(self):
+        # Both norm gates take math.hypot, which squares nothing: seeded norms
+        # from 1e-160 to 1e307, the entries 1.3e154 on an axis and [1e200, 0]
+        # print its value in their messages, and a finite complex entry whose
+        # modulus overflows reads inf.  None warns.
         rng = np.random.default_rng(20261026)
         exponents = [rng.uniform(-160, 150, 2000), rng.uniform(149.5, 150.5, 1000),
                      rng.uniform(150.5, math.log10(1.3e154), 1000), rng.uniform(math.log10(1.35e154), 307, 1000)]
@@ -282,19 +281,24 @@ class TestBlochMaps:
         reals *= (norms / np.linalg.norm(reals, axis=1))[:, None]
         kets *= (norms / np.linalg.norm(kets, axis=1))[:, None]
         reals = np.vstack([reals, [[1.3e154, 0, 0], [0, 0, -1.3e154]]])
-        kets = np.vstack([kets, [[1.3e154j, 0], [0, 1.3e154]]])
+        kets = np.vstack([kets, [[1.3e154j, 0], [0, 1.3e154], [1e200, 0], [1.3e308 + 1.3e308j, 0]]])
+        mixed = IDENTITY_2 / 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m, ket, norm in zip(reals, kets, [*norms, 1.3e154, 1.3e154]):
-                if norm < 1.34e154:
-                    assert _norm(m.tolist()) == np.linalg.norm(m), m
-                    assert _norm(m) == np.linalg.norm(m), m
-                    assert _norm(ket) == np.linalg.norm(ket), ket
+            for m in reals:
+                norm = math.hypot(*m)
+                if norm > 1.0 + 1e-9:
+                    message = f"Bloch vector norm {norm} exceeds 1"
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        density_from_bloch(m)
                 else:
-                    assert _norm(m.tolist()) == math.hypot(*m), m
-                    assert _norm(ket) == math.hypot(*ket.real, *ket.imag), ket
-            # a finite complex entry whose modulus overflows abs: the norm is inf
-            assert _norm(np.array([1.3e308 + 1.3e308j, 0])) == math.inf
+                    density_from_bloch(m)
+            for ket in kets:
+                norm = math.hypot(*ket.real, *ket.imag)
+                message = f"psi has norm {norm}, expected 1"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fidelity(ket, mixed)
+            assert message == "psi has norm inf, expected 1"
 
     def test_south_pole_reads_back(self):
         rho = np.outer(KET_1, KET_1.conj())
