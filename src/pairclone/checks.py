@@ -71,18 +71,19 @@ def _grid_deviations(phis) -> dict:
     per property with the angle on its leading axis, in report order."""
     # --- ensemble geometry ----------------------------------------------
     states, bloch = ensemble.family(phis)  # (N, 4, 2), (N, 4, 3)
+    projectors = states[..., :, None] * states[..., None, :].conj()  # (N, 4, 2, 2)
     s, c = np.sin(phis), np.cos(phis)
     expected = np.stack([[s, c], [-s, c], [-s, -c], [s, -c]]).transpose(2, 0, 1)
     flipped = states[..., ::-1]  # sigma_x |psi>
     partners = states[:, ::-1]  # state 5 - label
-    pattern = np.abs(bloch[..., ::2] - expected)
+    # the stored Bloch vectors against the table and against the states' projectors
+    pattern = np.concatenate([bloch[..., ::2] - expected, linalg.bloch_vectors(projectors) - bloch], axis=-1)
     deviations = {
         "ensemble unit norms": np.abs(np.linalg.norm(states, axis=-1) - 1.0),
-        "ensemble pair orthogonality": ensemble.pair_overlaps(states),
+        # the pairs {1, 3} and {2, 4}
+        "ensemble pair orthogonality": np.abs(np.sum(states[:, :2].conj() * states[:, 2:], axis=-1)),
         "ensemble y components vanish": np.abs(bloch[..., 1]),
-        "ensemble Bloch pattern": np.concatenate(
-            [pattern, ensemble.bloch_defects(states, bloch)], axis=-1
-        ),
+        "ensemble Bloch pattern": np.abs(pattern),
         "ensemble relabel symmetry": np.abs(1.0 - np.abs(np.sum(flipped.conj() * partners, axis=-1))),
     }
 
@@ -99,6 +100,10 @@ def _grid_deviations(phis) -> dict:
     formula = np.column_stack(cloner.shrinking_factors(coeffs))
     multiplier = optimizer.recover_multiplier(coeffs, phis, fidelity=f_opt)
     residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multiplier, phis))
+    # the grid holds 0 and pi/2 exactly, where each pair is a basis: F = 1 and copy 1 = input
+    ends = ((phis == 0.0) | (phis == _HALF_PI))[:, None]
+    copy_defects = np.abs(copies.copy1 - projectors).reshape(len(phis), -1)
+    perfect = np.column_stack([np.abs(f_opt - 1.0), np.abs(fids - 1.0), copy_defects])
     deviations.update({
         "optimal coefficient constraint": np.abs(cloner.constraint_defect(*coeffs)),
         "isometry columns orthonormal": np.abs(gram - np.eye(2)),
@@ -110,6 +115,7 @@ def _grid_deviations(phis) -> dict:
         ),
         "shrinking reflection symmetry": np.abs(eta[:, 0] - mirrored),
         "stationarity residuals": np.abs(residuals),
+        "perfect cloning at the endpoints": np.where(ends, perfect, 0.0),
     })
     return deviations
 
@@ -196,18 +202,6 @@ def run_checks(grid: int = 1000) -> list[CheckResult]:
     at_sample = "sample {}".format
     results.append(_worst("partial trace of product states", partial, _IDENTITY_BOUND, at_sample))
     results.append(_worst("Bloch round trip", roundtrip, _IDENTITY_BOUND, at_sample))
-
-    # --- perfect-cloning endpoints ----------------------------------------
-    ends = np.array([0.0, _HALF_PI])
-    end_f, _, _, *end_coeffs = optimizer.optimum(ends)
-    perfect = list(np.abs(end_f - 1.0))
-    states, _ = ensemble.family(ends[:1])
-    at_zero = cloner.clone_batch(cloner.isometry_batch(np.column_stack(end_coeffs)[:1]), states)
-    projectors = states[..., :, None] * states[..., None, :].conj()
-    perfect.append(np.max(np.abs(at_zero.copy1 - projectors)))
-    perfect.append(np.max(np.abs(at_zero.fidelities - 1.0)))
-    where = [f"phi={phi:.6g}" for phi in ends] + ["phi=0", "phi=0"]
-    results.append(_worst("perfect cloning at the endpoints", perfect, _IDENTITY_BOUND, where.__getitem__))
 
     # --- worst case sits at the centre of the range ------------------------
     # Fails closed: a non-finite value, where argmin would land, gives NaN.

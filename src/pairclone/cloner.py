@@ -32,6 +32,7 @@ from .linalg import (
     ATOL_INPUT,
     KET_0,
     KET_1,
+    _REAL_KINDS,
     _density_operator,
     _integer,
     _real,
@@ -85,8 +86,8 @@ class ClonerCoefficients:
 
 
 def _unpack(values, count: int = 3, rule: str = "coefficients must be three numbers a, b, c") -> tuple:
-    """The ``count`` entries of ``values``, by default coefficients a, b, c (numbers
-    or (N,) arrays, passed on unread), else ValueError "``rule``, got ..."."""
+    """The ``count`` entries of ``values``, by default coefficients a, b, c, each a
+    real number or a real (N,) array, else ValueError "``rule``, got ..."."""
     try:
         entries = tuple(values)
     except TypeError:
@@ -94,6 +95,11 @@ def _unpack(values, count: int = 3, rule: str = "coefficients must be three numb
     if entries is None or len(entries) != count:
         got = type(values).__name__ if entries is None else f"{len(entries)} values"
         raise ValueError(f"{rule}, got {got}")
+    for entry in entries:
+        if not isinstance(entry, float):  # a Python float or np.float64 needs no probe
+            array = np.asarray(entry)  # a number is 0-d; only an ndarray may be (N,)
+            if array.ndim > isinstance(entry, np.ndarray) or array.dtype.kind not in _REAL_KINDS:
+                raise ValueError(f"{rule}, got {type(entry).__name__}")
     return entries
 
 
@@ -155,7 +161,7 @@ def fidelity_closed_form(coeffs, phi):
 
     for coefficients that are a :class:`ClonerCoefficients` or three (N,)
     arrays a, b, c, at one angle or an (N,) array of angles.  It validates
-    the angles (:func:`ensemble.angle_terms`) and that there are three coefficients.
+    the angles (:func:`ensemble.angle_terms`) and the count and kind of coefficients.
     """
     a, b, c = _unpack(coeffs)
     sin2, cos2, _ = angle_terms(phi)
@@ -179,7 +185,7 @@ def fidelity_general(coeffs, phi, overlaps):
     Coefficients are a :class:`ClonerCoefficients` or three (N,) arrays,
     overlaps two floats or two (N,) arrays, at one angle or an (N,) array
     of angles.  It validates the angles (:func:`ensemble.angle_terms`) and the
-    count of coefficients and overlaps.  At the maximal overlaps (2.0, 2.0),
+    count and kind of coefficients and overlaps.  At the maximal overlaps (2.0, 2.0),
     those of the default assignment, it coincides with :func:`fidelity_closed_form`.
     """
     a, b, c = _unpack(coeffs)
@@ -197,7 +203,7 @@ def fidelity_general(coeffs, phi, overlaps):
 def shrinking_factors(coeffs):
     """Bloch-plane contraction factors (eta_x, eta_z) = (2b(a+c), a^2 - c^2)
     for coefficients that are a :class:`ClonerCoefficients` (two floats)
-    or three (N,) arrays a, b, c (two arrays); it checks only that there are three.
+    or three (N,) arrays a, b, c (two arrays); it checks only their count and kind.
 
     For any x-z-plane input with Bloch vector (m_x, 0, m_z), each output
     copy has Bloch vector (eta_x m_x, 0, eta_z m_z); both factors refer to

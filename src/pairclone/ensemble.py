@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _REAL_KINDS, _integer, _real, bloch_vectors
+from .linalg import _REAL_KINDS, _integer, _real
 
 PHI_MIN = 0.0
 PHI_MAX = math.pi / 2
@@ -33,8 +33,6 @@ _DEGENERACY_ATOL = 1e-12
 
 # The two orthogonal pairs, as 1-based labels.
 PAIRS = ((1, 3), (2, 4))
-_FIRST = [i - 1 for i, _ in PAIRS]
-_SECOND = [j - 1 for _, j in PAIRS]
 
 
 def check_angle(phi: float) -> float:
@@ -144,18 +142,3 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
         bloch=tuple(bloch[0]),
         degenerate=degenerate,
     )
-
-
-def pair_overlaps(states) -> np.ndarray:
-    """|<psi_i|psi_j>| for each pair (i, j) of :data:`PAIRS`, from states of
-    shape (N, 4, 2) to shape (N, 2); it validates nothing."""
-    return np.abs(np.sum(states[:, _FIRST].conj() * states[:, _SECOND], axis=-1))
-
-
-def bloch_defects(states, bloch) -> np.ndarray:
-    """|Bloch vector recomputed from the state projector - stored Bloch
-    vector|, shape (N, 4, 3), for states (N, 4, 2) and Bloch vectors
-    (N, 4, 3); it validates nothing, and a NaN anywhere stays in the
-    result."""
-    projectors = states[..., :, None] * states[..., None, :].conj()
-    return np.abs(bloch_vectors(projectors) - bloch)

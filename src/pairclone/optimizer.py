@@ -105,7 +105,7 @@ def lagrange_residual(coeffs, multiplier, phi):
     or three (N,) arrays a, b, c, with one multiplier and angle or an (N,)
     array of each.  All four vanish at the closed-form optimum with the
     multiplier of :func:`recover_multiplier`.  It validates the angles and
-    the count of coefficients, not their values."""
+    the count and kind of coefficients, not their values."""
     a, b, c = _unpack(coeffs)
     sin2, cos2, _ = angle_terms(phi)
     r1 = a * cos2 + b * sin2 - 2 * a * multiplier

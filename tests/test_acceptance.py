@@ -129,8 +129,8 @@ def test_criterion_7_worst_case_at_quarter_pi(checks):
 
 
 def test_criterion_8_perfect_cloning_limits(checks):
-    """Fidelity is exactly 1 at both endpoints and the copy at phi = 0
-    reproduces each input density matrix entrywise, within 1e-12."""
+    """Fidelity is exactly 1 at both endpoints, and there each copy's fidelity
+    is 1 and copy 1 reproduces each input density matrix entrywise, within 1e-12."""
     worst = checks["perfect cloning at the endpoints"].deviation
     assert worst <= 1e-12, f"endpoint deviation {worst:.3e}"
     report(f"[PASS] criterion 8: endpoint fidelity and exact copy deviation "

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pathlib
 import types
 
 import numpy as np
@@ -10,6 +11,8 @@ from pairclone import checks, cloner, ensemble, linalg, optimizer
 from pairclone.checks import run_checks
 
 EPS = 1e-6  # far above every pinned bound except the oracle's 1e-4
+# the benchmark's output checker, which pins every verify name and bound
+PINNED = pathlib.Path(__file__).resolve().parents[1] / "pairbench" / "checkers.py"
 
 
 def _nan_at_quarter_pi(out, phis):
@@ -248,3 +251,29 @@ def test_each_pinned_property_can_fail(monkeypatch, module, function, perturb, f
 def test_every_property_has_a_fault_that_fails_it():
     failing = {name for case in MUTATIONS for name in case.values[3]}
     assert failing | set(OWN_TESTS) == {r.name for r in run_checks(grid=30)}
+
+
+def test_endpoint_check_covers_the_cloner_at_half_pi(monkeypatch):
+    # a 1e-6 scale of the isometry of (a, b, c) = (1/2, 1/2, 1/2), the optimum
+    # at phi = pi/2 alone: only the grid's last angle sees it
+    original = cloner.isometry_batch
+
+    def perturbed(coeffs):
+        out = original(coeffs)
+        at_half_pi = np.all(np.asarray(coeffs) == 0.5, axis=1)[:, None, None]
+        return np.where(at_half_pi, out * (1 + EPS), out)
+
+    monkeypatch.setattr(cloner, "isometry_batch", perturbed)
+    endpoints = {r.name: r for r in run_checks(grid=30)}["perfect cloning at the endpoints"]
+    assert not endpoints.passed and endpoints.worst_at == "phi=1.5708", endpoints.line()
+
+
+def test_names_and_bounds_match_the_benchmark_checker():
+    # read from the checker's source, not imported: nothing is written beside it
+    pinned = {"__name__": "checkers"}
+    exec(compile(PINNED.read_text(), str(PINNED), "exec"), pinned)
+    tolerances = pinned["VERIFY_TOLERANCES"]
+    results = run_checks(grid=30)
+    assert sorted(r.name for r in results) == sorted(tolerances)
+    for result in results:
+        assert result.tolerance <= tolerances[result.name], result.line()

@@ -35,6 +35,17 @@ class _Float(float):
     """A float subclass, a real number like any float."""
 
 
+def _got(bad, count):
+    """What the count gate names for ``bad``: the type of a value that is not
+    a tuple, the length of a tuple of another count, else the type of the
+    tuple's first entry that is not a float."""
+    if not isinstance(bad, tuple):
+        return type(bad).__name__
+    if len(bad) != count:
+        return f"{len(bad)} values"
+    return next(type(entry).__name__ for entry in bad if not isinstance(entry, float))
+
+
 def coeffs_from_surface_angles(t, u):
     """Exact point on the constraint surface a^2 + 2b^2 + c^2 = 1."""
     return ClonerCoefficients(
@@ -120,17 +131,35 @@ class TestIsometry:
         ids=["build_isometry", "build_clone_report", "fidelity_closed_form", "fidelity_general",
              "shrinking_factors", "lagrange_residual", "recover_multiplier"],
     )
-    @pytest.mark.parametrize("bad", [(0.6, 0.4), (0.6, 0.4, 0.1, 0.0), 0.5, np.array(0.5)], ids=repr)
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.6, 0.4), (0.6, 0.4, 0.1, 0.0), 0.5, np.array(0.5),
+         # the right count of entries, but not real numbers or real (N,) arrays
+         ("a", "b", "c"), "abc", (None, 0.5, 0.5), (0.6, True, 0.1), (0.6, 0.4, 0.1 + 0j),
+         (np.array([[0.6]]), 0.4, 0.1), (np.array(["0.6"]), 0.4, 0.1), (0.6, 0.4, 10**400)],
+        ids=repr,
+    )
     def test_coefficients_must_be_three_numbers(self, build, bad):
-        got = f"{len(bad)} values" if isinstance(bad, tuple) else type(bad).__name__
-        message = f"coefficients must be three numbers a, b, c, got {got}"
+        message = f"coefficients must be three numbers a, b, c, got {_got(bad, 3)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(bad)
 
-    @pytest.mark.parametrize("bad", [(2.0,), (2.0, 2.0, 2.0), 2.0], ids=repr)
+    def test_real_entries_of_every_kind_accepted(self):
+        # ints, NumPy scalars and 0-d arrays are real numbers; (N,) arrays of any real kind pass too
+        exact = fidelity_closed_form((1.0, 0.0, 0.0), 0.3)
+        assert fidelity_closed_form((1, np.float32(0.0), np.array(0.0)), 0.3) == exact
+        batch = fidelity_closed_form((np.ones(2, dtype=int), np.zeros(2, dtype=np.float32), np.zeros(2)), np.full(2, 0.3))
+        assert batch.tolist() == [exact, exact]
+        general = fidelity_general((1, 0, 0), 0.3, (np.int64(2), np.array(2.0)))
+        assert general == fidelity_general((1.0, 0.0, 0.0), 0.3, (2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(2.0,), (2.0, 2.0, 2.0), 2.0, ("x", "y"), "xy", (2.0, True), (np.full((1, 1), 2.0), 2.0)],
+        ids=repr,
+    )
     def test_overlaps_must_be_two_numbers(self, bad):
-        got = f"{len(bad)} values" if isinstance(bad, tuple) else type(bad).__name__
-        message = f"overlaps must be two numbers re_ab, re_bc, got {got}"
+        message = f"overlaps must be two numbers re_ab, re_bc, got {_got(bad, 2)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fidelity_general(CLASSICAL, 0.3, bad)
 

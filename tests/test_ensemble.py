@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pairclone.ensemble import (
-    PAIRS,
-    bloch_defects,
-    check_angle,
-    family,
-    make_ensemble,
-    pair_overlaps,
-)
+from pairclone.ensemble import PAIRS, check_angle, family, make_ensemble
 from pairclone.linalg import bloch_from_density
 
 TOL = 1e-12
@@ -100,9 +93,9 @@ def test_grid_invariants():
             assert my == 0.0
             ex, ez = expected[label - 1]
             assert abs(mx - ex) <= TOL and abs(mz - ez) <= TOL
+            assert np.abs(bloch_from_density(np.outer(psi, psi.conj())) - ens.bloch_vector(label)).max() <= TOL
         for i, j in ((1, 3), (2, 4)):
             assert abs(complex(np.vdot(ens.state(i), ens.state(j)))) <= TOL
-        assert np.max(bloch_defects(np.array([ens.states]), np.array([ens.bloch]))) <= TOL
 
 
 def test_relabel_symmetry():
@@ -122,27 +115,8 @@ def test_orthogonal_pairs():
         ens = make_ensemble(phi)
         assert ens.phi == phi
         assert ens.degenerate is degenerate
-        assert np.max(pair_overlaps(np.array([ens.states]))) <= TOL
-
-
-def test_batch_helpers_match_the_scalar_functions():
-    phis = np.linspace(0, math.pi / 2, 37)
-    states, bloch = family(phis)
-    overlaps = pair_overlaps(states)
-    defects = bloch_defects(states, bloch)
-    assert overlaps.shape == (37, 2) and defects.shape == (37, 4, 3)
-    assert np.max(overlaps) <= TOL
-    for n, phi in enumerate(phis):
-        ens = make_ensemble(float(phi))
-        for (i, j), overlap in zip(PAIRS, overlaps[n]):
-            assert abs(overlap - abs(np.vdot(ens.state(i), ens.state(j)))) <= 1e-16
-        for label in (1, 2, 3, 4):
-            psi = ens.state(label)
-            recomputed = bloch_from_density(np.outer(psi, psi.conj()))
-            expected = np.abs(recomputed - ens.bloch_vector(label))
-            assert np.abs(defects[n, label - 1] - expected).max() <= 1e-16
-    bloch[3, 1, 2] = math.nan
-    assert math.isnan(np.max(bloch_defects(states, bloch)))
+        for i, j in PAIRS:
+            assert abs(complex(np.vdot(ens.state(i), ens.state(j)))) <= TOL
 
 
 def test_family_is_the_docstring_tables_byte_for_byte():
