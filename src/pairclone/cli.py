@@ -23,13 +23,26 @@ from .optimizer import DEFAULT_GRID_DENSITY, check_grid_density, numeric_optimiz
 from .report import build_clone_report, format_clone_report
 
 # Largest --steps of sweep and verify.  At the cap a whole command peaked at
-# 40 MB resident for sweep (its rows are written block by block) and 51 MB
-# for verify (each block of angles keeps only its worst angle per property),
-# with Python 3.11, numpy 2.4.6.
+# 40 MB resident for sweep (its rows are written block by block; 39.9-40.1 MB
+# in three runs with the array writer, 40.1-40.4 MB with the per-row loop)
+# and 51 MB for verify (each block of angles keeps only its worst angle per
+# property), with Python 3.11, numpy 2.4.6.
 MAX_STEPS = 1_000_000
 
 # Sweep rows per array call and per write, which bounds its working memory.
 _SWEEP_BLOCK = 4096
+
+# Sweep blocks of at least this many rows are written by _csv_text, smaller
+# ones by the per-row % loop, which costs less below it: at 7 columns both
+# took 58 us for 32 rows, the loop 41 us against 86 us for 16 and the
+# kernel 67 us against 113 us for 64 (timeit, best of 7).
+_CSV_TEXT_ROWS = 32
+
+# Values per array pass of _csv_text.  Its float64 temporaries then stay at
+# 64 KiB, under glibc's 128 KiB mmap threshold, and are reused from the heap
+# instead of being mapped and faulted in afresh: a 4096-row block took 410
+# minor page faults instead of 966, and 25% less time.
+_CSV_CHUNK = 8192
 
 _PI_LITERAL = re.compile(
     r"^\s*([0-9]*\.?[0-9]*)\s*\*?\s*pi\s*(?:/\s*([0-9]+\.?[0-9]*))?\s*$",
@@ -127,6 +140,122 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _csv_tables() -> tuple:
+    """(digit words, prefix words, powers of ten) of :func:`_csv_text`, built
+    on first use.
+
+    Digit word g + 10000 is the four ASCII digits of g and word g the same
+    with its trailing zeros replaced by NUL.  Prefix word i holds what comes
+    before the twelve digits at exponent e = i - 4, right-aligned in 8 bytes
+    (e = 0 gets its leading digit and point later); power i is 10^(15 - i).
+    """
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    chars = (digits + 48).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    stripped = np.where(trailing, 0, chars).astype(np.uint8)
+    words = np.concatenate([stripped, chars]).view(np.uint32).ravel()
+    prefixes = np.frombuffer(
+        b"\0\0\0" b"0.000" b"\0\0\0\0" b"0.00" b"\0\0\0\0\0" b"0.0" b"\0\0\0\0\0\0" b"0."
+        b"\0\0\0\0\0\0\0\0" b"\0\0\0\0\0\0" b"10",
+        np.uint64,
+    )
+    return words, prefixes, np.array([1e15, 1e14, 1e13, 1e12, 1e11, 1e10])
+
+
+def _split(v):
+    """Dekker's split of ``v`` into two halves of at most 26 bits each."""
+    t = v * 134217729.0  # 2^27 + 1
+    high = t - (t - v)
+    return high, v - high
+
+
+def _round_scaled(x, p):
+    """x * p rounded to the nearest integer, ties to even, exactly.
+
+    p is a power of ten up to 10^15, an exact double.  n = rint(hi) of the
+    rounded product hi is right unless hi - n is +-0.5: hi and n are
+    multiples of ulp(hi), so otherwise |hi - n| <= 0.5 - ulp(hi), and the
+    product's rounding error is at most ulp(hi) / 2.  At +-0.5 Dekker's
+    exact product hi + lo says by the sign of lo which way it rounds; lo = 0
+    is a true tie, which rint breaks to even, as ``%`` does.
+    """
+    hi = x * p
+    n = np.rint(hi)
+    d = hi - n
+    tie = np.flatnonzero(np.abs(d) == 0.5)
+    if tie.size:
+        xh, xl = _split(x[tie])
+        ph, pl = _split(p[tie])
+        lo = ((xh * ph - hi[tie]) + xh * pl + xl * ph) + xl * pl
+        n[tie] += np.sign(lo) * (np.sign(lo) == np.sign(d[tie]))
+    return n
+
+
+def _csv_words(x, out) -> np.ndarray:
+    """Write each value of ``x`` with 1e-4 <= x < 10 as ``"%.12g" % x`` into
+    the first five words of its row of ``out``, NUL-padded; returns the mask
+    of those values, the rows of the others are left undefined.
+
+    At exponent e, "%.12g" prints n = x * 10^(11 - e) rounded to an integer
+    of twelve digits, with trailing zeros stripped.
+    """
+    words, prefixes, powers = _csv_tables()
+    fixed = (x >= 1e-4) & (x < 10.0)
+    x = np.where(fixed, x, 1.0)
+    index = (x >= 1e-3).astype(np.intp)  # e + 4
+    index += x >= 1e-2
+    index += x >= 1e-1
+    index += x >= 1.0
+    n = _round_scaled(x, powers[index])
+    off = np.flatnonzero((n < 1e11) | (n >= 1e12))  # rounding carried into the next exponent
+    if off.size:
+        index[off] += np.where(n[off] >= 1e12, 1, -1)
+        n[off] = _round_scaled(x[off], powers[index[off]])
+    lead = np.floor(n / 1e11)
+    units = index >= 4  # e = 0 prints "d.", and e = 1 only "10"
+    frac = np.where(units, (n - lead * 1e11) * 10, n)  # the twelve digits after the prefix
+    high = np.floor(frac / 1e4)
+    g2 = frac - high * 1e4
+    g0 = np.floor(high / 1e4)
+    g1 = high - g0 * 1e4
+    out.view(np.uint64)[:, 0] = prefixes[index]
+    # a group is printed plain if a later group is nonzero, else stripped
+    out[:, 4] = words[g2.astype(np.intp)]
+    g2 = g2 != 0
+    g1 += 1e4 * g2
+    out[:, 3] = words[g1.astype(np.intp)]
+    g0 += 1e4 * ((g1 != 0) | g2)
+    out[:, 2] = words[g0.astype(np.intp)]
+    byte = out.view(np.uint8)
+    np.copyto(byte[:, 6], lead + 48, casting="unsafe", where=units)
+    np.copyto(byte[:, 7], 46, where=units & (frac != 0))  # "." unless the digits are all zero
+    return fixed
+
+
+def _csv_text(values: np.ndarray) -> str:
+    """The CSV rows of a row-major (rows, cols) float block, each value
+    written as ``"%.12g" % value``, byte for byte.
+
+    Each value takes 24 bytes, six uint32 words: two prefix words, three
+    digit words and a separator word, padded with NUL, which one
+    ``translate`` removes.  Values outside [1e-4, 10) take their 20 bytes
+    from ``%`` itself.
+    """
+    rows, cols = values.shape
+    out = np.empty((rows, cols, 6), np.uint32)
+    out[:, :, 5] = np.frombuffer(b",\0\0\0" * (cols - 1) + b"\n\0\0\0", np.uint32)
+    flat = out.reshape(-1, 6)
+    x = values.ravel()
+    for start in range(0, x.size, _CSV_CHUNK):
+        fixed = _csv_words(x[start:start + _CSV_CHUNK], flat[start:start + _CSV_CHUNK])
+        if not fixed.all():
+            other = np.flatnonzero(~fixed) + start
+            text = np.array(["%.12g" % value for value in x[other].tolist()], dtype="S20")
+            flat[other, :5] = text.view(np.uint32).reshape(-1, 5)
+    return out.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _write_sweep(args, handle) -> None:
     """Write the sweep CSV to ``handle``, one block of rows at a time."""
     header = "phi,fidelity_opt,eta_x,eta_z,a,b,c"
@@ -137,10 +266,14 @@ def _write_sweep(args, handle) -> None:
     phis = np.linspace(args.phi_min, args.phi_max, args.steps)
     for start in range(0, len(phis), _SWEEP_BLOCK):
         block = phis[start:start + _SWEEP_BLOCK]
-        columns = [column.tolist() for column in (block, *optimum(block))]
+        columns = [block, *optimum(block)]
         if args.with_oracle:
-            columns.append(numeric_optimize(block, grid_density=args.oracle_grid).best_fidelity.tolist())
-        handle.write("".join([row % values for values in zip(*columns)]))
+            columns.append(numeric_optimize(block, grid_density=args.oracle_grid).best_fidelity)
+        if len(block) >= _CSV_TEXT_ROWS:
+            handle.write(_csv_text(np.column_stack(columns)))
+        else:
+            columns = [column.tolist() for column in columns]
+            handle.write("".join([row % values for values in zip(*columns)]))
 
 
 def _cmd_sweep(args, parser) -> int:

@@ -87,7 +87,8 @@ class ClonerCoefficients:
 
 def _unpack(values, count: int = 3, rule: str = "coefficients must be three numbers a, b, c") -> tuple:
     """The ``count`` entries of ``values``, by default coefficients a, b, c, each a
-    real number or a real (N,) array, else ValueError "``rule``, got ..."."""
+    real number or a real (N,) array, all (N,) arrays of one length, else
+    ValueError "``rule``, got ..."."""
     try:
         entries = tuple(values)
     except TypeError:
@@ -95,11 +96,16 @@ def _unpack(values, count: int = 3, rule: str = "coefficients must be three numb
     if entries is None or len(entries) != count:
         got = type(values).__name__ if entries is None else f"{len(entries)} values"
         raise ValueError(f"{rule}, got {got}")
+    length = None
     for entry in entries:
         if not isinstance(entry, float):  # a Python float or np.float64 needs no probe
             array = np.asarray(entry)  # a number is 0-d; only an ndarray may be (N,)
             if array.ndim > isinstance(entry, np.ndarray) or array.dtype.kind not in _REAL_KINDS:
                 raise ValueError(f"{rule}, got {type(entry).__name__}")
+            if array.ndim:
+                if length is not None and len(array) != length:
+                    raise ValueError(f"{rule}, got arrays of lengths {length} and {len(array)}")
+                length = len(array)
     return entries
 
 

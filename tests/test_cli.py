@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairclone import cli, optimizer
 from pairclone.cli import MAX_STEPS, main, parse_angle
@@ -145,8 +147,10 @@ class TestSweep:
             ["--steps", str(cli._SWEEP_BLOCK + 1)],
             ["--phi-min", "0.0123", "--phi-max", "1.5", "--steps", "20000"],
             ["--steps", "5", "--with-oracle", "--oracle-grid", "64"],
+            # phi = 0 and c, eta_x and b below 1e-4 put values of %'s own inside an array-written block
+            ["--phi-min", "0", "--phi-max", "0.2", "--steps", "64"],
         ],
-        ids=["one-row-past-a-block", "sub-range", "oracle"],
+        ids=["one-row-past-a-block", "sub-range", "oracle", "from-zero"],
     )
     def test_text_equals_per_row_scalar_loop(self, capsys, argv):
         args = cli._build_parser().parse_args(["sweep", *argv])
@@ -161,6 +165,87 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", *argv)
         assert code == 0
         assert out == "\n".join(lines) + "\n"
+
+
+def _per_row(values) -> str:
+    return "".join(",".join("%.12g" % value for value in row) + "\n" for row in values.tolist())
+
+
+def _decimal_ties() -> list:
+    """Every double x in [1e-4, 10) whose x * 10^(11 - e) ends in exactly .5,
+    e being its decimal exponent: x = j / 2^(12 - e) for odd j."""
+    ties = []
+    for e in range(-4, 1):
+        scale = 2.0 ** (12 - e)
+        ties += [j / scale for j in range(1, 10 * int(scale), 2) if 10.0**e <= j / scale < 10.0 ** (e + 1)]
+    return ties
+
+
+class TestCsvText:
+    """``cli._csv_text`` writes every value as ``"%.12g" % value`` does."""
+
+    def assert_exact(self, values, cols=1):
+        values = np.asarray(values, dtype=float).reshape(-1, cols)
+        text = cli._csv_text(values)
+        assert text.endswith("\n")
+        assert text.splitlines() == _per_row(values).splitlines()  # a list diff names the first bad row
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(1e-4, 10.0)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_finite_doubles(self, values):
+        self.assert_exact(values)
+
+    def test_every_decimal_tie(self):
+        # a product that is exactly n + 1/2 rounds half to even, as % does
+        ties = _decimal_ties()
+        assert len(ties) == 23_033
+        self.assert_exact(ties)
+
+    def test_products_that_round_to_a_half(self):
+        # x * 10^(11 - e) rounds to n + 1/2 without being it: the exact
+        # product's low part decides, never rint alone
+        x = 10.0 ** np.random.default_rng(32).uniform(-4.0, 1.0, 400_000)
+        hi = x * 10.0 ** (11 - np.floor(np.log10(x)))
+        halfway = x[np.abs(hi - np.rint(hi)) == 0.5]
+        assert halfway.size >= 10
+        self.assert_exact(halfway)
+
+    def test_forty_ulps_around_powers_of_ten(self):
+        offsets = np.arange(-40, 41)
+        for k in range(-5, 2):
+            self.assert_exact((np.float64(10.0**k).view(np.int64) + offsets).view(np.float64))
+
+    def test_carries_into_the_next_exponent(self):
+        self.assert_exact(
+            [9.9999999999995, 9.99999999999949, 0.99999999999995, 0.099999999999995,
+             0.0099999999999995, 0.00099999999999995, 0.000099999999999995, 1.0000000000005, 2.5]
+        )
+
+    def test_values_outside_the_array_range(self):
+        self.assert_exact([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan, 1e-4, 10.0, -0.5, 1e300, 1e-5, 123.456])
+
+    def test_rows_and_columns(self):
+        values = np.random.default_rng(32).uniform(0.0, 1.0, (3 * cli._CSV_CHUNK // 7 + 5, 7))
+        values[::97, 3] = 0.0
+        self.assert_exact(values, cols=7)
+
+    @pytest.mark.parametrize(
+        "steps", [cli._CSV_TEXT_ROWS - 1, cli._CSV_TEXT_ROWS, cli._SWEEP_BLOCK + 1], ids=repr
+    )
+    def test_both_writers_give_the_same_text(self, capsys, monkeypatch, steps):
+        argv = ["sweep", "--phi-min", "0", "--phi-max", "1.5", "--steps", str(steps)]
+        texts = {}
+        for rows in (cli._CSV_TEXT_ROWS, 1, MAX_STEPS + 1):  # as shipped, all arrays, all per row
+            monkeypatch.setattr(cli, "_CSV_TEXT_ROWS", rows)
+            code, texts[rows], _ = run_cli(capsys, *argv)
+            assert code == 0
+        assert len(set(texts.values())) == 1
 
 
 class TestClone:

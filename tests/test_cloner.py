@@ -37,12 +37,16 @@ class _Float(float):
 
 def _got(bad, count):
     """What the count gate names for ``bad``: the type of a value that is not
-    a tuple, the length of a tuple of another count, else the type of the
-    tuple's first entry that is not a float."""
+    a tuple, the length of a tuple of another count, the first two lengths
+    of its (N,) arrays if they differ, else the type of the tuple's first
+    entry that is not a float."""
     if not isinstance(bad, tuple):
         return type(bad).__name__
     if len(bad) != count:
         return f"{len(bad)} values"
+    lengths = [len(entry) for entry in bad if isinstance(entry, np.ndarray) and entry.ndim == 1]
+    if len(set(lengths)) > 1:
+        return f"arrays of lengths {lengths[0]} and {next(n for n in lengths if n != lengths[0])}"
     return next(type(entry).__name__ for entry in bad if not isinstance(entry, float))
 
 
@@ -136,7 +140,9 @@ class TestIsometry:
         [(0.6, 0.4), (0.6, 0.4, 0.1, 0.0), 0.5, np.array(0.5),
          # the right count of entries, but not real numbers or real (N,) arrays
          ("a", "b", "c"), "abc", (None, 0.5, 0.5), (0.6, True, 0.1), (0.6, 0.4, 0.1 + 0j),
-         (np.array([[0.6]]), 0.4, 0.1), (np.array(["0.6"]), 0.4, 0.1), (0.6, 0.4, 10**400)],
+         (np.array([[0.6]]), 0.4, 0.1), (np.array(["0.6"]), 0.4, 0.1), (0.6, 0.4, 10**400),
+         # real (N,) arrays, but of unequal lengths
+         (np.full(2, 0.6), 0.4, np.full(3, 0.1))],
         ids=repr,
     )
     def test_coefficients_must_be_three_numbers(self, build, bad):
