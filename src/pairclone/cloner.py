@@ -157,7 +157,7 @@ def fidelity(psi, rho) -> float:
     up to roundoff, and that imaginary residue is discarded.
     """
     psi = _unit_ket(psi, "psi")
-    return complex(expectation(psi, _density_operator(rho))).real
+    return complex(expectation(psi, _density_operator(rho)[0])).real
 
 
 def fidelity_closed_form(coeffs, phi):

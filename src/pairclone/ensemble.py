@@ -63,8 +63,9 @@ def angle_terms(phis):
     calls the C library's ``pow`` per element, as Python's float ``**``
     does; ``np.power`` squares by a product and takes other powers in SIMD
     code, and differs in the last bit at some angles.  Only the correctly
-    rounded sum and square root are otherwise vectorised.  This is the one
-    place that tells a float from an array, and it validates both: one
+    rounded sum and square root are otherwise vectorised.  It is the one
+    closed form that tells a float from an array (:func:`family` does the
+    same for the states, on the same rules), and it validates both: one
     angle with :func:`check_angle`, an array with a real number dtype and
     one vectorised range check (NaN fails it).
     """
@@ -112,8 +113,18 @@ def family(phis) -> tuple[np.ndarray, np.ndarray]:
     family at each of N angles.
 
     Batch kernel behind :func:`make_ensemble`: it validates nothing, so
-    callers pass angles already checked to lie in [0, pi/2].
+    callers pass angles already checked to lie in [0, pi/2].  One angle as
+    a float (a Python float or ``np.float64``) gives N = 1 from ``math.cos``
+    and ``math.sin`` and one ``np.array`` call per output, with the bits of
+    the array body: numpy's float64 ``sin`` and ``cos`` call the same C
+    library functions (see :func:`angle_terms`).
     """
+    if isinstance(phis, float):
+        al, be = math.cos(phis / 2), math.sin(phis / 2)
+        s, c = math.sin(phis), math.cos(phis)
+        states = np.array([[[al, be], [al, -be], [be, -al], [be, al]]], dtype=complex)
+        bloch = np.array([[[s, 0.0, c], [-s, 0.0, c], [-s, 0.0, -c], [s, 0.0, -c]]])
+        return states, bloch
     phis = np.asarray(phis, dtype=float)
     al, be = np.cos(phis / 2), np.sin(phis / 2)
     states = np.array([al, be, al, -be, be, -al, be, al], dtype=complex)
@@ -130,7 +141,7 @@ def make_ensemble(phi: float) -> FourStateEnsemble:
     equality checks against the defining expressions are deterministic.
     """
     phi = check_angle(phi)
-    states, bloch = family([phi])
+    states, bloch = family(phi)
     states.setflags(write=False)
     bloch.setflags(write=False)
     degenerate = (

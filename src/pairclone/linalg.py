@@ -166,20 +166,22 @@ def density_from_bloch(m) -> np.ndarray:
     return 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]])
 
 
-def _density_operator(rho) -> np.ndarray:
-    """``rho`` as a 2x2 array if it is Hermitian and of trace one within 1e-9,
-    else ValueError; shared by bloch_from_density and cloner.fidelity."""
+def _density_operator(rho) -> tuple[np.ndarray, list]:
+    """``rho`` as a 2x2 array, and its rows as lists of Python complex
+    numbers, if it is Hermitian and of trace one within 1e-9, else
+    ValueError; shared by bloch_from_density and cloner.fidelity."""
     rho = as_matrix(rho, "rho")
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    (r00, r01), (r10, r11) = rho.tolist()
+    rows = rho.tolist()
+    (r00, r01), (r10, r11) = rows
     herm_defect = max(abs(2 * r00.imag), abs(2 * r11.imag), abs(r01 - r10.conjugate()))
     if herm_defect > ATOL_INPUT:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     trace_defect = abs(r00 + r11 - 1.0)
     if trace_defect > ATOL_INPUT:
         raise ValueError(f"matrix trace deviates from 1 by {trace_defect:.3e}")
-    return rho
+    return rho, rows
 
 
 def bloch_from_density(rho) -> np.ndarray:
@@ -188,7 +190,16 @@ def bloch_from_density(rho) -> np.ndarray:
     Inverts :func:`density_from_bloch`; the round trip is exact to 1e-12.
     Rejects input that is not Hermitian and trace one within 1e-9.
     """
-    return bloch_vectors(_density_operator(rho))
+    return np.array(_bloch_components(_density_operator(rho)[1]))
+
+
+def _bloch_components(rows) -> tuple[float, float, float]:
+    """Bloch components (x, y, z) of one 2x2 operator given as two rows of
+    Python complex numbers.  Python's complex + and - act on the real and
+    imaginary parts apart, as numpy's do, so these are the bits of
+    :func:`bloch_vectors` without an array round trip."""
+    (r00, r01), (r10, r11) = rows
+    return (r01 + r10).real, (r10 - r01).imag, (r00 - r11).real
 
 
 def bloch_vectors(rho) -> np.ndarray:

@@ -23,7 +23,7 @@ from .cloner import (
     shrinking_factors,
 )
 from .ensemble import check_angle, family
-from .linalg import KET_0, bloch_vectors
+from .linalg import KET_0, _bloch_components
 from .optimizer import lagrange_residual, optimum, recover_multiplier
 
 # Channel contraction is measured on probe states: |+> reads off the x
@@ -62,11 +62,11 @@ def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> 
     best_fidelity, _, _, *best = optimum(phi)
     coeffs = ClonerCoefficients(*best) if coeffs is None else _coefficients(coeffs)
 
-    states, bloch = family([phi])
+    states, bloch = family(phi)
     inputs = np.concatenate([states, _PROBES[None]], axis=1)  # (1, 6, 2)
     copies = clone_batch(build_isometry(coeffs)[None], inputs)
     # every figure as a Python float, which formats faster than np.float64
-    x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:]).tolist()
+    copy_plus, copy_zero = copies.copy1[0, 4:].tolist()  # copy 1 of |+> and of |0>
 
     formula_fidelity = fidelity_closed_form(coeffs, phi)
     multiplier = recover_multiplier(coeffs, phi, fidelity=formula_fidelity)
@@ -80,7 +80,7 @@ def build_clone_report(phi: float, coeffs: ClonerCoefficients | None = None) -> 
         formula_fidelity=formula_fidelity,
         best_possible_fidelity=best_fidelity,
         formula_eta=shrinking_factors(coeffs),
-        simulated_eta=(x_probe[0], z_probe[2]),
+        simulated_eta=(_bloch_components(copy_plus)[0], _bloch_components(copy_zero)[2]),
         residuals=lagrange_residual(coeffs, multiplier, phi),
         multiplier=multiplier,
     )

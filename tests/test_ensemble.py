@@ -121,7 +121,7 @@ def test_orthogonal_pairs():
 
 def test_family_is_the_docstring_tables_byte_for_byte():
     rng = np.random.default_rng(5)
-    phis = np.concatenate([[0.0, math.pi / 4, math.pi / 2], rng.uniform(0, math.pi / 2, 200)])
+    phis = np.concatenate([[0.0, math.pi / 4, math.pi / 2, 5e-324], rng.uniform(0, math.pi / 2, 200)])
     al, be = np.cos(phis / 2), np.sin(phis / 2)
     s, c = np.sin(phis), np.cos(phis)
     states = np.empty((len(phis), 4, 2), dtype=complex)
@@ -130,15 +130,19 @@ def test_family_is_the_docstring_tables_byte_for_byte():
     for k, ((up, down), (x, z)) in enumerate(table):  # psi_k+1 and m_k+1
         states[:, k, 0], states[:, k, 1] = up, down
         bloch[:, k, 0], bloch[:, k, 2] = x, z
-    # the (N,) array of the verify grid, and the one-angle list of build_clone_report
-    cases = [(phis, slice(None))] + [([float(phi)], slice(k, k + 1)) for k, phi in enumerate(phis[:5])]
+    # the (N,) array of the verify grid, a one-angle list, and the one float
+    # (Python or np.float64) of make_ensemble and build_clone_report, whose
+    # math.sin and math.cos body must give the array body's bytes
+    cases = [(phis, slice(None))]
+    for k, phi in enumerate(phis.tolist()):
+        cases += [(angle, slice(k, k + 1)) for angle in ([phi], phi, np.float64(phi))]
     for angles, rows in cases:
         got_states, got_bloch = family(angles)
         assert (got_states.shape, got_states.dtype) == (states[rows].shape, states.dtype)
         assert (got_bloch.shape, got_bloch.dtype) == (bloch[rows].shape, bloch.dtype)
         assert got_states.flags.c_contiguous and got_bloch.flags.c_contiguous
-        assert got_states.tobytes() == states[rows].tobytes()
-        assert got_bloch.tobytes() == bloch[rows].tobytes()
+        assert got_states.tobytes() == states[rows].tobytes(), angles
+        assert got_bloch.tobytes() == bloch[rows].tobytes(), angles
 
 
 def test_states_are_read_only():

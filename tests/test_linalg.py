@@ -11,6 +11,7 @@ from pairclone.cloner import fidelity
 from pairclone.linalg import (
     KET_0,
     KET_1,
+    _bloch_components,
     as_matrix,
     bloch_from_density,
     bloch_vectors,
@@ -342,6 +343,22 @@ class TestBlochMaps:
             axis=-1,
         )
         assert bloch_vectors(rho).tobytes() == stacked.tobytes()
+
+    def test_bloch_components_bits_match_bloch_vectors(self):
+        # Seeded density operators with complex off-diagonals, each entry off
+        # its Hermitian, trace-one value by up to 1e-10, so x and y read both
+        # off-diagonals and z both diagonals.  The Python-complex read-out
+        # and bloch_from_density equal the batch kernel to the last bit.
+        rng = np.random.default_rng(20261027)
+        directions = rng.normal(size=(20_000, 3))
+        radii = rng.uniform(0.0, 1.0, size=(20_000, 1)) ** (1 / 3)
+        m = directions / np.linalg.norm(directions, axis=1)[:, None] * radii
+        rho = 0.5 * (IDENTITY_2 + np.einsum("nk,kij->nij", m, np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])))
+        rho += 1e-10 * (rng.uniform(-1, 1, size=rho.shape) + 1j * rng.uniform(-1, 1, size=rho.shape))
+        expected = bloch_vectors(rho)
+        for rows, bloch in zip(rho.tolist(), expected):
+            assert np.array(_bloch_components(rows)).tobytes() == bloch.tobytes(), rows
+            assert bloch_from_density(np.array(rows)).tobytes() == bloch.tobytes(), rows
 
     @given(
         st.tuples(

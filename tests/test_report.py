@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from pairclone import optimizer, report as report_module
-from pairclone.cloner import ClonerCoefficients, UnitarityError, fidelity_closed_form
+from pairclone.cloner import ClonerCoefficients, UnitarityError, build_isometry, clone_batch, fidelity_closed_form
+from pairclone.ensemble import family
+from pairclone.linalg import bloch_vectors
 from pairclone.report import build_clone_report, format_clone_report
 
 TOL = 1e-12
@@ -108,6 +111,26 @@ REPORT_CASES = {
 def test_report_text_digest(phi, coeffs, digest):
     text = format_clone_report(build_clone_report(phi, coeffs))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_simulated_eta_bits_are_bloch_vectors_of_the_probe_copies():
+    # The report reads eta_x and eta_z from copy 1 of |+> and |0> as Python
+    # complex numbers; they are the batch kernel's Bloch components to the
+    # last bit, at the optimum and at seeded on-surface overrides.
+    rng = np.random.default_rng(20261028)
+    phis = [0.0, 5e-324, 1e-9, math.pi / 4, math.pi / 2, *rng.uniform(0, math.pi / 2, 100).tolist()]
+    directions = rng.normal(size=(len(phis), 3))
+    directions = np.abs(directions) / np.linalg.norm(directions, axis=1)[:, None]  # coefficients are nonnegative
+    overrides = [(a, b / math.sqrt(2), c) for a, b, c in directions.tolist()]
+    for phi, override in zip(phis, overrides):
+        for coeffs in (None, override):
+            report = build_clone_report(phi, coeffs)
+            states, _ = family(np.array([phi]))
+            inputs = np.concatenate([states, report_module._PROBES[None]], axis=1)
+            copies = clone_batch(build_isometry(report.coeffs)[None], inputs)
+            x_probe, z_probe = bloch_vectors(copies.copy1[0, 4:])
+            expected = (float.hex(float(x_probe[0])), float.hex(float(z_probe[2])))
+            assert tuple(map(float.hex, report.simulated_eta)) == expected, (phi, coeffs)
 
 
 def _leaves(value):
