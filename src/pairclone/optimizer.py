@@ -42,8 +42,8 @@ DEFAULT_GRID_DENSITY = 256
 # Refinement policy of :func:`numeric_optimize`.  Every round after the
 # first evaluates _REFINE_INTERVALS intervals per axis.
 _REFINE_TOLERANCE = 1e-12
-_REFINE_INTERVALS = 64
-_BATCH = 13  # most searches per group; a group refines its searches in lockstep
+_REFINE_INTERVALS = 32
+_BATCH = 25  # most searches per group; a group refines its searches in lockstep
 _DOMINANCE_MARGIN = 1e-12  # fixed by the proof in _first_round
 
 
@@ -53,7 +53,8 @@ class NumericSearchReport:
     or, as (N,) arrays (``best_coeffs`` as three: a, b, c), at N angles.
 
     The first of ``rounds`` grids has (grid_density + 1)^2 nodes and each
-    later one 65^2; ``evaluations`` is the Python int total of the call.
+    later one 33^2, so a search makes (grid_density + 1)^2 + (rounds - 1)
+    * 33^2 evaluations; ``evaluations`` is the Python int total of the call.
     It counts every node of every grid searched, although the first round
     rules out the nodes a neighbour beats without evaluating them.
     ``achieved_tolerance`` is the largest improvement of the incumbent
@@ -216,35 +217,37 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
 
     The first round searches a (grid_density + 1)^2 grid over the whole
     chart, evaluating the nodes :func:`_first_round` keeps; each round
-    then shrinks the search window to +-4 spacings of the grid it just
+    then shrinks the search window to +-2 spacings of the grid it just
     searched around the incumbent best, and every later round evaluates
-    a 65^2 grid (64 intervals) there.
+    a 33^2 grid (32 intervals) there.  The objective's Hessian at the
+    optimum has condition number at most 4 on the chart, so the best node
+    of a grid of spacing h lies within sqrt(4 / 2) h = sqrt(2) h of the
+    optimum (to second order), inside the next window's reach of 2 h.
     A single round can fail to improve just because window clipping moved
     the nodes, or because its best node is already the nearest to the
     optimum, so refinement stops only after three consecutive rounds
     improve by less than 1e-12 on a grid whose spacing s has s^2 < 1e-12
     (or once the window collapses below 1e-11).  The first shrink
-    keeps at most 8 / grid_density <= 1/8 of the width and each later one
-    at most 8 / 64 = 1/8, so round r searches a window at most
+    keeps at most 4 / grid_density <= 1/16 of the width and each later one
+    at most 4 / 32 = 1/8, so round r searches a window at most
     (pi/2) / 8^(r - 1) wide; that is below 1e-11 from r = 14 on, so the
     collapse rule ends every search within 14 rounds at any accepted grid,
     whatever the objective's values: the incumbent is always a grid node
-    and a NaN never replaces it.  At grid_density 64 every round has 64
-    intervals.  Results are deterministic: grids are fixed by
-    (phi, grid_density) and ties resolve to the smallest (t, u).
+    and a NaN never replaces it.  Results are deterministic: grids are
+    fixed by (phi, grid_density) and ties resolve to the smallest (t, u).
 
     The first round's grid does not depend on ``phi``: its kept nodes and
     their angle-free terms are built by the first search at a grid density
     and reused by every later one at that density, until a search at
     another density replaces them (85 KB at 256 and 4.8 MB at 2048).
-    N searches run in ceil(N / 13) groups whose sizes differ by at most
-    one, such as 12 + 13 for 25 angles.  A group runs its first rounds one
+    N searches run in ceil(N / 25) groups whose sizes differ by at most
+    one, such as one group for 25 angles.  A group runs its first rounds one
     by one, then its later rounds together, on plain arrays over the
     searches still running: the incumbent (f, t, u), the t and u spacings
     and the last three rounds' gains.  A round evaluates their windows as
-    (m, 65, 65) arrays, in work arrays allocated once per call (two of the
-    kept nodes' size, and 0.1 MB per search of the largest group: 1.3 MB
-    at 13, 0.4 MB at 4), then drops the searches that finished.  Groups
+    (m, 33, 33) arrays, in work arrays allocated once per call (two of the
+    kept nodes' size, and 26 KB per search of the largest group: 0.65 MB
+    at 25, 0.1 MB at 4), then drops the searches that finished.  Groups
     share nothing but those work arrays, so every search has the bits of a
     call at its angle.
     """
@@ -269,8 +272,8 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
         spacing = np.full((2, len(live)), half_pi / grid_density)  # of the last grid's t and u axes
         gains = np.full((3, len(live)), math.inf)  # of the last three rounds, at [round % 3]
         for rounds in itertools.count(2):
-            # the window: +-4 spacings of the last grid around the incumbent
-            reach = 4 * spacing
+            # the window: +-2 spacings of the last grid around the incumbent
+            reach = 2 * spacing
             lo, hi = np.maximum(best[1:] - reach, 0.0), np.minimum(best[1:] + reach, half_pi)
             spacing = (hi - lo) / _REFINE_INTERVALS
             # the t and u axes by np.linspace's operations, without its overhead
@@ -287,7 +290,7 @@ def numeric_optimize(phi: float | np.ndarray, grid_density: int = DEFAULT_GRID_D
             best = np.where(round_best > best[0], (round_best, axes[0, k, row], axes[1, k, col]), best)
             # Small gains count only once the grid is fine enough: a node can
             # beat its neighbours and still miss the optimum by spacing^2 / 2
-            # (the Hessian norm is at most 2).  The window is 64 spacings wide.
+            # (the Hessian norm is at most 2).  The window is 32 spacings wide.
             h, achieved = spacing.max(axis=0), gains.max(axis=0)
             done = (achieved < _REFINE_TOLERANCE) & (h**2 < _REFINE_TOLERANCE) | (h * _REFINE_INTERVALS < 1e-11)
             if not done.any():
