@@ -50,7 +50,8 @@ class CheckResult:
 
 
 def _worst(name: str, deviations, tolerance: float, where) -> CheckResult:
-    """Largest deviation over all samples along the leading axis; ``where(i)``
+    """Largest deviation over all samples along the leading axis, such as
+    the (N,) per-angle worsts of :func:`_grid_deviations`; ``where(i)``
     names sample ``i``.  ``np.max``, not ``nanmax``: a NaN anywhere becomes
     the reported deviation, so the check fails."""
     deviations = np.asarray(deviations, dtype=float)
@@ -67,57 +68,63 @@ def _at_phi(phis):
 
 
 def _grid_deviations(phis) -> dict:
-    """Deviations of every grid property at the angles ``phis``, one array
-    per property with the angle on its leading axis, in report order."""
+    """Worst deviation of every grid property at each of the N angles
+    ``phis``, one (N,) array per property, in report order.  Every array
+    keeps the angle on its last, contiguous axis, for N-long inner loops;
+    the kernels that take the angle first get (N, ...) views of it."""
+    n = len(phis)
     # --- ensemble geometry ----------------------------------------------
-    states, bloch = ensemble.family(phis)  # (N, 4, 2), (N, 4, 3)
-    projectors = states[..., :, None] * states[..., None, :].conj()  # (N, 4, 2, 2)
+    states, bloch = ensemble.family(phis)
+    states, bloch = np.ascontiguousarray(states.T), bloch.transpose(1, 2, 0)  # (2, 4, N), (4, 3, N)
+    projectors = states[:, None] * states[None].conj()  # (2, 2, 4, N), as the kernel's copies
     s, c = np.sin(phis), np.cos(phis)
-    expected = np.stack([[s, c], [-s, c], [-s, -c], [s, -c]]).transpose(2, 0, 1)
-    flipped = states[..., ::-1]  # sigma_x |psi>
+    expected = np.stack([[s, c], [-s, c], [-s, -c], [s, -c]])
+    flipped = states[::-1]  # sigma_x |psi>
     partners = states[:, ::-1]  # state 5 - label
     # the stored Bloch vectors against the table and against the states' projectors
-    pattern = np.concatenate([bloch[..., ::2] - expected, linalg.bloch_vectors(projectors) - bloch], axis=-1)
+    read_out = linalg.bloch_vectors(projectors.transpose(2, 3, 0, 1)).transpose(0, 2, 1)
+    pattern = np.concatenate([bloch[:, ::2] - expected, read_out - bloch], axis=1)
     deviations = {
-        "ensemble unit norms": np.abs(np.linalg.norm(states, axis=-1) - 1.0),
+        "ensemble unit norms": np.abs(np.linalg.norm(states, axis=0) - 1.0),
         # the pairs {1, 3} and {2, 4}
-        "ensemble pair orthogonality": np.abs(np.sum(states[:, :2].conj() * states[:, 2:], axis=-1)),
-        "ensemble y components vanish": np.abs(bloch[..., 1]),
+        "ensemble pair orthogonality": np.abs(np.sum(states[:, :2].conj() * states[:, 2:], axis=0)),
+        "ensemble y components vanish": np.abs(bloch[:, 1]),
         "ensemble Bloch pattern": np.abs(pattern),
-        "ensemble relabel symmetry": np.abs(1.0 - np.abs(np.sum(flipped.conj() * partners, axis=-1))),
+        "ensemble relabel symmetry": np.abs(1.0 - np.abs(np.sum(flipped.conj() * partners, axis=0))),
     }
 
     # --- optimum: constraint, isometry, fidelities, shrinking ------------
     f_opt, eta_x, eta_z, *coeffs = optimizer.optimum(phis)
-    isometries = cloner.isometry_batch(np.column_stack(coeffs))
-    copies = cloner.clone_batch(isometries, states)
-    # both copies' fidelities, (N, 8): the paper's claim covers each copy
-    fids = np.concatenate([copies.fidelities, cloner.expectation(states, copies.copy2).real], axis=1)
-    gram = np.einsum("nai,naj->nij", isometries.conj(), isometries)
+    isometries = np.ascontiguousarray(cloner.isometry_batch(np.column_stack(coeffs)).T)  # (2, 8, N)
+    copies = cloner.clone_batch(isometries.T, states.T)
+    # both copies' fidelities, (8, N): the paper's claim covers each copy
+    fids = np.concatenate([copies.fidelities.T, cloner.expectation(states.T, copies.copy2).real.T])
+    gram = np.einsum("ian,jan->ijn", isometries.conj(), isometries)
     f_closed = cloner.fidelity_closed_form(coeffs, phis)
-    eta = np.column_stack((eta_x, eta_z))
+    eta = np.stack((eta_x, eta_z))
     mirrored = optimizer.optimum(_HALF_PI - phis)[2]
-    formula = np.column_stack(cloner.shrinking_factors(coeffs))
+    formula = np.stack(cloner.shrinking_factors(coeffs))
     multiplier = optimizer.recover_multiplier(coeffs, phis, fidelity=f_opt)
-    residuals = np.column_stack(optimizer.lagrange_residual(coeffs, multiplier, phis))
+    residuals = np.stack(optimizer.lagrange_residual(coeffs, multiplier, phis))
     # the grid holds 0 and pi/2 exactly, where each pair is a basis: F = 1 and copy 1 = input
-    ends = ((phis == 0.0) | (phis == _HALF_PI))[:, None]
-    copy_defects = np.abs(copies.copy1 - projectors).reshape(len(phis), -1)
-    perfect = np.column_stack([np.abs(f_opt - 1.0), np.abs(fids - 1.0), copy_defects])
+    ends = (phis == 0.0) | (phis == _HALF_PI)
+    copy_defects = np.abs(copies.copy1.transpose(2, 3, 1, 0) - projectors).reshape(-1, n)
+    perfect = np.concatenate([np.abs(f_opt - 1.0)[None], np.abs(fids - 1.0), copy_defects])
     deviations.update({
         "optimal coefficient constraint": np.abs(cloner.constraint_defect(*coeffs)),
-        "isometry columns orthonormal": np.abs(gram - np.eye(2)),
-        "four fidelities equal": np.max(fids, axis=1) - np.min(fids, axis=1),
-        "simulation matches optimal fidelity": np.abs(fids - f_opt[:, None]),
+        "isometry columns orthonormal": np.abs(gram - np.eye(2)[..., None]),
+        "four fidelities equal": np.max(fids, axis=0) - np.min(fids, axis=0),
+        "simulation matches optimal fidelity": np.abs(fids - f_opt),
         "optimal fidelity consistency chain": np.abs(f_opt - f_closed),
-        "shrinking factor identities": np.column_stack(
-            [np.abs(np.sum(eta * eta, axis=1) - 1.0), np.abs(eta - formula)]
+        "shrinking factor identities": np.concatenate(
+            [np.abs(np.sum(eta * eta, axis=0) - 1.0)[None], np.abs(eta - formula)]
         ),
-        "shrinking reflection symmetry": np.abs(eta[:, 0] - mirrored),
+        "shrinking reflection symmetry": np.abs(eta[0] - mirrored),
         "stationarity residuals": np.abs(residuals),
         "perfect cloning at the endpoints": np.where(ends, perfect, 0.0),
     })
-    return deviations
+    # np.max, not nanmax: a NaN entry is its angle's worst
+    return {name: np.max(d.reshape(-1, n), axis=0) for name, d in deviations.items()}
 
 
 def run_checks(grid: int = 1000) -> list[CheckResult]:

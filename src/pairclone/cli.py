@@ -44,8 +44,9 @@ _CSV_TEXT_ROWS = 32
 # minor page faults instead of 966, and 25% less time.
 _CSV_CHUNK = 8192
 
+# [number [*]] pi [/ number]: a '*' needs the number before it
 _PI_LITERAL = re.compile(
-    r"^\s*([0-9]*\.?[0-9]*)\s*\*?\s*pi\s*(?:/\s*([0-9]+\.?[0-9]*))?\s*$",
+    r"^\s*(?:([0-9]+\.?[0-9]*|\.[0-9]+)\s*\*?\s*)?pi\s*(?:/\s*([0-9]+\.?[0-9]*))?\s*$",
     re.IGNORECASE,
 )
 

@@ -262,7 +262,8 @@ def expectation(states, rho) -> np.ndarray:
 
 
 class CopyBatch(NamedTuple):
-    """Both output copies of K inputs through each of N cloners."""
+    """Both output copies of K inputs through each of N cloners; each copy
+    is an (N, K, 2, 2) view of angle-last (2, 2, K, N) memory."""
 
     copy1: np.ndarray  # (N, K, 2, 2) reduced state of copy 1
     copy2: np.ndarray  # (N, K, 2, 2) reduced state of copy 2
@@ -272,13 +273,14 @@ class CopyBatch(NamedTuple):
 def clone_batch(isometries, states) -> CopyBatch:
     """Push input kets of shape (N, K, 2) through isometries of shape
     (N, 8, 2) and reduce each pure output straight to its two 2x2 copies;
-    the 8x8 output density matrices are never formed."""
+    the 8x8 output density matrices are never formed.  Each copy is
+    written angle-last and returned as an (N, K, 2, 2) view."""
     psi = np.ascontiguousarray(states.T)  # (2, K, N)
     v = np.ascontiguousarray(isometries.T)[:, :, None]  # (2, 8, 1, N)
     # out[i0, i1, i2, k, n]: amplitude on (copy 1, copy 2, ancilla).  With
     # the inputs on the trailing axes each step is one array operation.
     out = (v[0] * psi[0] + v[1] * psi[1]).reshape(2, 2, 2, *psi.shape[1:])
     bra = out.conj()
-    copy1 = np.einsum("rbckn,sbckn->nkrs", out, bra)
-    copy2 = np.einsum("arckn,asckn->nkrs", out, bra)
+    copy1 = np.einsum("rbckn,sbckn->rskn", out, bra).transpose(3, 2, 0, 1)
+    copy2 = np.einsum("arckn,asckn->rskn", out, bra).transpose(3, 2, 0, 1)
     return CopyBatch(copy1, copy2, expectation(psi.T, copy1).real)

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -41,16 +42,28 @@ class TestAngleParsing:
             ("3pi/8", 3 * math.pi / 8),
             ("PI/2", math.pi / 2),
             ("0.5*pi", math.pi / 2),
+            (" pi/4 ", math.pi / 4),
+            (".5 * pi / 2", math.pi / 4),
         ],
     )
     def test_accepted(self, text, expected):
         assert abs(parse_angle(text) - expected) <= 1e-15
 
-    def test_rejected(self):
-        with pytest.raises(ValueError):
-            parse_angle("pi/0")
-        with pytest.raises(ValueError):
-            parse_angle("two pi")
+    # the angle texts of pairbench/workloads.py keep their values bit for bit
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("0", 0.0), ("pi/8", math.pi / 8), ("pi/6", math.pi / 6), ("pi/4", math.pi / 4),
+         ("3pi/8", 3 * math.pi / 8), ("pi/2", math.pi / 2)],
+    )
+    def test_benchmark_literals_are_exact(self, text, expected):
+        assert parse_angle(text) == expected
+
+    # a '*' needs a coefficient, and a coefficient or a '/' needs its digits;
+    # the message quotes the whole text
+    @pytest.mark.parametrize("text", ["pi/0", "two pi", "*pi/4", "* pi", ".pi", "pi/"])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_angle(text)
 
 
 class TestSweep:
@@ -291,7 +304,7 @@ class TestClone:
         assert run_cli(capsys, "clone", "--", "-0.0") == run_cli(capsys, "clone", "0")
 
 
-@pytest.mark.parametrize("text", ["2.0", "-0.1", "nan", "inf", "1e400", "pi/0"])
+@pytest.mark.parametrize("text", ["2.0", "-0.1", "nan", "inf", "1e400", "pi/0", "*pi/4", "* pi", ".pi", "pi/"])
 @pytest.mark.parametrize(
     "argv,name",
     [(["clone"], "phi"), (["sweep", "--phi-min"], "--phi-min"), (["sweep", "--phi-max"], "--phi-max")],

@@ -5,7 +5,8 @@ construction of ``kron_reference``, and the kernel's reduced copies with the
 closed-form fidelity, with each other and with the 8x8 density-matrix
 route (``apply_cloner`` then ``copy_state``), on the real family and on
 random complex kets through ``kron_reference`` isometries with a complex
-ancilla.
+ancilla.  The angle-last copies are also compared bit for bit with the
+contraction written in their (N, K, 2, 2) order.
 """
 
 import math
@@ -21,11 +22,13 @@ from pairclone.cloner import (
     build_isometry,
     clone_batch,
     copy_state,
+    expectation,
     fidelity,
     fidelity_closed_form,
     isometry_batch,
 )
 from pairclone.ensemble import family
+from pairclone.optimizer import optimum
 
 SEED = 20261017
 
@@ -77,6 +80,20 @@ def test_kernel_copies_match_density_matrix_route():
             assert np.max(np.abs(copies.copy2[n, k] - copy_state(rho_out, 2))) <= 1e-12
 
 
+def _complex_case(n, k):
+    """N ``kron_reference`` isometries with a complex ancilla (a random
+    common unitary times a random phase per ket) and (N, K) Haar-random
+    complex kets."""
+    rng = np.random.default_rng(SEED + 2)
+    isometries = []
+    for cc in COEFFS[:n]:
+        unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
+        isometries.append(kron_isometry(cc, rotated_ancilla(unitary, phases)))
+    kets = rng.normal(size=(n, k, 2)) + 1j * rng.normal(size=(n, k, 2))
+    return np.stack(isometries), kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+
+
 @pytest.mark.parametrize("shape", [(3, 5), (1, 6), (7, 1)])
 def test_kernel_matches_density_matrix_route_on_complex_data(shape):
     # On the real family with the real default ancilla every copy is real
@@ -84,15 +101,7 @@ def test_kernel_matches_density_matrix_route_on_complex_data(shape):
     # misplaced conj passes; on complex data it does not.  N != K in two of
     # the shapes, so swapped N and K axes fail too.
     n, k = shape
-    rng = np.random.default_rng(SEED + 2)
-    isometries = []
-    for cc in COEFFS[:n]:
-        unitary, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, size=6))
-        isometries.append(kron_isometry(cc, rotated_ancilla(unitary, phases)))
-    isometries = np.stack(isometries)
-    kets = rng.normal(size=(n, k, 2)) + 1j * rng.normal(size=(n, k, 2))
-    kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+    isometries, kets = _complex_case(n, k)
     copies = clone_batch(isometries, kets)
     assert copies.copy1.shape == copies.copy2.shape == (n, k, 2, 2)
     assert copies.fidelities.shape == (n, k)
@@ -103,6 +112,42 @@ def test_kernel_matches_density_matrix_route_on_complex_data(shape):
             assert np.max(np.abs(copies.copy1[i, j] - copy1)) <= 1e-12
             assert np.max(np.abs(copies.copy2[i, j] - copy2)) <= 1e-12
             assert abs(copies.fidelities[i, j] - fidelity(psi, copy1)) <= 1e-12
+
+
+def _nkrs_copies(isometries, states):
+    """Copy 1, copy 2 and the fidelities of copy 1 from the kernel's
+    amplitudes through ``einsum(... -> "nkrs")``, the contraction written in
+    the (N, K, 2, 2) order of its result."""
+    psi = np.ascontiguousarray(states.T)
+    v = np.ascontiguousarray(isometries.T)[:, :, None]
+    out = (v[0] * psi[0] + v[1] * psi[1]).reshape(2, 2, 2, *psi.shape[1:])
+    copy1 = np.einsum("rbckn,sbckn->nkrs", out, out.conj())
+    copy2 = np.einsum("arckn,asckn->nkrs", out, out.conj())
+    return copy1, copy2, expectation(psi.T, copy1).real
+
+
+def _family_case():
+    phis = np.linspace(0.0, math.pi / 2, 1000)
+    return isometry_batch(np.column_stack(optimum(phis)[3:])), family(phis)[0]
+
+
+@pytest.mark.parametrize(
+    "case", [lambda: _complex_case(3, 5), lambda: _complex_case(1, 6), lambda: _complex_case(25, 100), _family_case],
+    ids=["complex-3x5", "complex-1x6", "complex-25x100", "family-1000x4"],
+)
+def test_angle_last_copies_have_the_bits_of_the_nkrs_contraction(case):
+    # clone_batch writes each copy into (r, s, k, n) memory and returns
+    # (N, K, 2, 2) views of it.  numpy lays the "nkrs" result out angle
+    # innermost as well; an einsum into C-ordered (N, K, 2, 2) memory sums
+    # copy 2's terms in another order and moves its last bits.
+    isometries, states = case()
+    n, k = states.shape[:2]
+    copies = clone_batch(isometries, states)
+    assert copies.copy1.shape == copies.copy2.shape == (n, k, 2, 2)
+    assert copies.fidelities.shape == (n, k)
+    assert copies.copy1.transpose(2, 3, 1, 0).flags.c_contiguous
+    for got, want in zip(copies, _nkrs_copies(isometries, states)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid", [2, 3])
